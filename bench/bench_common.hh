@@ -25,7 +25,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "estimators/leo.hh"
 #include "estimators/offline.hh"
@@ -113,6 +115,78 @@ banner(const std::string &what, const std::string &paper_ref)
     std::printf("=== %s ===\n", what.c_str());
     std::printf("Paper reference: %s\n\n", paper_ref.c_str());
 }
+
+/** One extra key of a BenchJson row, printed with `decimals` digits
+ *  after the point (0 for counts and flags). */
+struct JsonField
+{
+    const char *key;
+    double value;
+    int decimals;
+};
+
+/**
+ * Google-benchmark-format JSON for the benches that time their own
+ * runs (tools/bench_diff.py reads it). Every row carries name,
+ * run_type, iterations and real_time/cpu_time in ms, then the bench's
+ * own fields in the order given.
+ */
+class BenchJson
+{
+  public:
+    /** @param executable Recorded as context.executable. */
+    explicit BenchJson(std::string executable)
+        : executable_(std::move(executable))
+    {
+    }
+
+    /** Append one row; `ms` fills both real_time and cpu_time. */
+    void
+    addRow(const std::string &name, double ms,
+           std::initializer_list<JsonField> fields)
+    {
+        rows_ += rows_.empty() ? "    {" : ",\n    {";
+        rows_ += "\"name\": \"" + name +
+                 "\", \"run_type\": \"iteration\", \"iterations\": 1";
+        append({"real_time", ms, 4});
+        append({"cpu_time", ms, 4});
+        rows_ += ", \"time_unit\": \"ms\"";
+        for (const JsonField &f : fields)
+            append(f);
+        rows_ += "}";
+    }
+
+    /** Write the document to `path`; false (reported on stderr) when
+     *  the file cannot be written. */
+    bool
+    write(const std::string &path) const
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        if (f == nullptr) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return false;
+        }
+        std::fprintf(f,
+                     "{\n  \"context\": {\"executable\": \"%s\"},\n"
+                     "  \"benchmarks\": [\n%s\n  ]\n}\n",
+                     executable_.c_str(), rows_.c_str());
+        std::fclose(f);
+        std::printf("wrote %s\n", path.c_str());
+        return true;
+    }
+
+  private:
+    void
+    append(const JsonField &f)
+    {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.*f", f.decimals, f.value);
+        rows_ += std::string(", \"") + f.key + "\": " + buf;
+    }
+
+    std::string executable_;
+    std::string rows_;
+};
 
 } // namespace leo::bench
 

@@ -25,14 +25,14 @@ target_link_libraries(tab02_fault_sweep PRIVATE leo_faults)
 
 # Global co-scheduling vs per-app greedy under a shared power cap
 # (repository addition, DESIGN.md "Global co-scheduling");
-# hand-emits google-benchmark JSON (BENCH_global.json) for
+# emits google-benchmark JSON (BENCH_global.json, via bench::BenchJson) for
 # tools/bench_diff.py.
 leo_add_bench(tab03_global_cap)
 
 # Change-point adaptation vs the fixed drift window over
 # DSL-authored scenarios (repository addition, DESIGN.md "Scenarios
 # and change-point adaptation"); hand-emits google-benchmark JSON
-# (BENCH_scenario.json) for tools/bench_diff.py.
+# (BENCH_scenario.json, via bench::BenchJson) for tools/bench_diff.py.
 leo_add_bench(tab04_changepoint)
 
 # Section 6.7 overhead microbenchmark (google-benchmark).
@@ -44,8 +44,8 @@ target_link_libraries(overhead_leo PRIVATE benchmark::benchmark)
 leo_add_bench(overhead_parallel)
 
 # Multi-tenant serving-core throughput at 1/4/16 shards with a
-# bitwise schedule cross-check; hand-emits google-benchmark JSON
-# (BENCH_service.json) for tools/bench_diff.py.
+# bitwise schedule cross-check; emits google-benchmark JSON
+# (BENCH_service.json, via bench::BenchJson) for tools/bench_diff.py.
 leo_add_bench(overhead_service)
 
 # Ablation benches for the design choices called out in DESIGN.md.

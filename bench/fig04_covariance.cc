@@ -34,7 +34,9 @@ main()
     telemetry::UniformGridSampler grid;
     auto obs = profiler.sample(kmeans, w.space, grid, 6, rng);
 
-    estimators::LeoEstimator leo;
+    // Figure 4 reads LeoFit::sigma, which only dense fits carry.
+    estimators::LeoEstimator leo(
+        {.representation = estimators::CovarianceRep::Dense});
     auto fit = leo.fitMetric(
         estimators::priorVectors(prior,
                                  estimators::Metric::Performance),

@@ -31,7 +31,10 @@ main()
     telemetry::WattsUpMeter meter;
     telemetry::Profiler profiler(monitor, meter);
     telemetry::RandomSampler policy;
-    estimators::LeoEstimator leo;
+    // The paper's estimator: dense Sigma, pinned so the figure does
+    // not follow the Auto default onto the low-rank path at n = 1024.
+    estimators::LeoEstimator leo(
+        {.representation = estimators::CovarianceRep::Dense});
 
     for (const char *name : {"kmeans", "swish", "x264"}) {
         auto prior = w.store.without(name);

@@ -50,7 +50,10 @@ main()
     telemetry::Profiler profiler(monitor, meter);
     telemetry::RandomSampler policy;
 
-    estimators::LeoEstimator leo;
+    // The paper's estimator: dense Sigma, pinned so the figure does
+    // not follow the Auto default onto the low-rank path at n = 1024.
+    estimators::LeoEstimator leo(
+        {.representation = estimators::CovarianceRep::Dense});
     estimators::OnlineEstimator online;
     estimators::OfflineEstimator offline;
     const double idle = w.machine.spec().idleSystemPowerW;

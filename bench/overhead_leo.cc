@@ -10,9 +10,9 @@
  * Three fit variants are timed so the perf trajectory of the hot
  * loop stays visible:
  *
- *  - BM_LeoFitReference: the allocating reference path (the
- *    executable specification the workspace path is tested against).
- *  - BM_LeoFit: the default allocation-free workspace path, cold.
+ *  - BM_LeoFit: the dense allocation-free loop (pinned to
+ *    CovarianceRep::Dense, the specification), cold.
+ *  - BM_LeoFitLowRank: the low-rank (Woodbury) loop, cold.
  *  - BM_LeoWarmRound: one active-sampling-style round — a warm
  *    refit from the previous round's fit with a persistent
  *    workspace, after four new observations arrive.
@@ -160,7 +160,7 @@ runTimedFits(benchmark::State &state, std::size_t configs, Fit &&fit,
             total_ms / static_cast<double>(total_iters);
 }
 
-/** Cold fit on the default allocation-free workspace path. */
+/** Cold fit on the dense allocation-free loop. */
 void
 BM_LeoFit(benchmark::State &state)
 {
@@ -169,23 +169,8 @@ BM_LeoFit(benchmark::State &state)
     const unsigned speed_stride =
         static_cast<unsigned>(state.range(1));
     const FitSetup s = makeSetup(core_stride, speed_stride);
-    estimators::LeoEstimator est;
-    runTimedFits(state, s.space.size(), [&]() {
-        return est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
-    });
-}
-
-/** Cold fit on the opt-in allocating reference path (the seed
- *  implementation; the speedup baseline for bench_diff). */
-void
-BM_LeoFitReference(benchmark::State &state)
-{
-    const unsigned core_stride = static_cast<unsigned>(state.range(0));
-    const unsigned speed_stride =
-        static_cast<unsigned>(state.range(1));
-    const FitSetup s = makeSetup(core_stride, speed_stride);
     estimators::LeoOptions opts;
-    opts.referencePath = true;
+    opts.representation = estimators::CovarianceRep::Dense;
     estimators::LeoEstimator est(opts);
     runTimedFits(state, s.space.size(), [&]() {
         return est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
@@ -225,11 +210,10 @@ BM_LeoWarmRound(benchmark::State &state)
     const unsigned speed_stride =
         static_cast<unsigned>(state.range(1));
     const FitSetup s = makeSetup(core_stride, speed_stride);
-    // Auto resolves to the low-rank representation at these sizes
-    // (4 q << n), exactly as the production controller would run.
-    estimators::LeoOptions opts;
-    opts.representation = estimators::CovarianceRep::Auto;
-    estimators::LeoEstimator est(opts);
+    // The default Auto resolves to the low-rank representation at
+    // these sizes (4 q << n), exactly as the production controller
+    // would run.
+    estimators::LeoEstimator est;
     linalg::Workspace ws;
     const std::vector<std::size_t> prev_idx(s.obs_idx.begin(),
                                             s.obs_idx.end() - 4);
@@ -358,14 +342,6 @@ BM_HullWalk(benchmark::State &state)
 BENCHMARK(BM_LeoFit)
     ->Args({4, 2})
     ->Args({2, 2})
-    ->Args({1, 2})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// The reference baseline only at the two largest sizes (it is the
-// slow path; the small sizes add runtime without information).
-BENCHMARK(BM_LeoFitReference)
     ->Args({1, 2})
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond)

@@ -105,7 +105,9 @@ main()
                 static_cast<std::size_t>(
                     std::thread::hardware_concurrency()));
 
-    const estimators::LeoEstimator est;
+    // The Figures 5-6 sweep fits dense (see experiments/accuracy.cc).
+    const estimators::LeoEstimator est(
+        {.representation = estimators::CovarianceRep::Dense});
     std::printf("%-10s %12s %10s %10s\n", "threads", "best ms",
                 "speedup", "bitwise");
 

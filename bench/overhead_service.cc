@@ -132,10 +132,9 @@ main(int argc, char **argv)
     const std::size_t repeats =
         experiments::envSize("LEO_BENCH_REPEATS", 3);
 
-    // Auto resolves to low-rank on this space (checked below).
-    estimators::LeoOptions lopt;
-    lopt.representation = estimators::CovarianceRep::Auto;
-    const estimators::LeoEstimator estimator(lopt);
+    // The default Auto resolves to low-rank on this space (checked
+    // below).
+    const estimators::LeoEstimator estimator;
     const auto prior =
         std::make_shared<const telemetry::ProfileStore>(
             world.store.without("x264"));
@@ -153,9 +152,7 @@ main(int argc, char **argv)
     const std::size_t shard_counts[] = {1, 4, 16};
     std::vector<std::vector<std::size_t>> baseline;
     double baseline_ms = 0.0;
-    std::string json = "{\n  \"context\": {\"executable\": "
-                       "\"overhead_service\"},\n  \"benchmarks\": [\n";
-    bool first_row = true;
+    bench::BenchJson json("overhead_service");
     for (const std::size_t shards : shard_counts) {
         DriveResult best;
         for (std::size_t r = 0; r < repeats; ++r) {
@@ -178,36 +175,19 @@ main(int argc, char **argv)
                     shards, best.ms, tenants_per_s, windows_per_s,
                     baseline_ms / best.ms, bitwise ? "yes" : "NO");
 
-        char row[512];
-        std::snprintf(
-            row, sizeof(row),
-            "%s    {\"name\": \"BM_ServiceDrive/shards:%zu\", "
-            "\"run_type\": \"iteration\", \"iterations\": 1, "
-            "\"real_time\": %.3f, \"cpu_time\": %.3f, "
-            "\"time_unit\": \"ms\", \"tenants_per_second\": %.1f, "
-            "\"windows_per_second\": %.1f}",
-            first_row ? "" : ",\n", shards, best.ms, best.ms,
-            tenants_per_s, windows_per_s);
-        json += row;
-        first_row = false;
+        json.addRow("BM_ServiceDrive/shards:" + std::to_string(shards),
+                    best.ms,
+                    {{"tenants_per_second", tenants_per_s, 1},
+                     {"windows_per_second", windows_per_s, 1}});
         if (!bitwise) {
             std::fprintf(stderr,
                          "schedule diverged at %zu shards\n", shards);
             return 1;
         }
     }
-    json += "\n  ]\n}\n";
-
-    const std::string out =
-        argc > 1 ? argv[1] : "BENCH_service.json";
-    if (std::FILE *f = std::fopen(out.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("\nwrote %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
+    std::printf("\n");
+    if (!json.write(argc > 1 ? argv[1] : "BENCH_service.json"))
         return 1;
-    }
     std::printf("Note: shard scaling needs physical cores; on a "
                 "single-core host all rows time the same inline "
                 "path.\n");

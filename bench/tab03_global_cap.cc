@@ -169,9 +169,7 @@ main(int argc, char **argv)
     // INFINITY is the uncapped reference column.
     const double fractions[] = {INFINITY, 0.95, 0.85, 0.75, 0.65};
 
-    std::string json = "{\n  \"context\": {\"executable\": "
-                       "\"tab03_global_cap\"},\n  \"benchmarks\": [\n";
-    bool first_row = true;
+    bench::BenchJson json("tab03_global_cap");
     bool cap_bound_win = false;
     bool greedy_beat_global = false;
 
@@ -236,59 +234,31 @@ main(int argc, char **argv)
                       greedy.feasible ? "yes" : "NO",
                       bound ? "yes" : "-"});
 
-            char row[512];
-            std::snprintf(
-                row, sizeof(row),
-                "%s    {\"name\": \"BM_GlobalCap/%s/frac:%s\", "
-                "\"run_type\": \"iteration\", \"iterations\": 1, "
-                "\"real_time\": %.4f, \"cpu_time\": %.4f, "
-                "\"time_unit\": \"ms\", "
-                "\"global_energy_joules\": %.3f, "
-                "\"greedy_energy_joules\": %.3f, "
-                "\"global_feasible\": %d, \"greedy_feasible\": %d, "
-                "\"cap_bound\": %d}",
-                first_row ? "" : ",\n", fleet.name.c_str(),
-                std::isfinite(frac)
-                    ? experiments::fmt(frac, 2).c_str()
-                    : "none",
-                ms, ms, global.predictedEnergy,
-                greedy.predictedEnergy, global.feasible ? 1 : 0,
-                greedy.feasible ? 1 : 0, bound ? 1 : 0);
-            json += row;
-            first_row = false;
+            json.addRow(
+                "BM_GlobalCap/" + fleet.name + "/frac:" +
+                    (std::isfinite(frac) ? experiments::fmt(frac, 2)
+                                         : "none"),
+                ms,
+                {{"global_energy_joules", global.predictedEnergy, 3},
+                 {"greedy_energy_joules", greedy.predictedEnergy, 3},
+                 {"global_feasible", global.feasible ? 1.0 : 0.0, 0},
+                 {"greedy_feasible", greedy.feasible ? 1.0 : 0.0, 0},
+                 {"cap_bound", bound ? 1.0 : 0.0, 0}});
         }
         std::printf("%s", t.render().c_str());
         std::printf("feasibility: global %zu/%zu, greedy %zu/%zu\n\n",
                     global_ok, cells, greedy_ok, cells);
 
-        char row[256];
-        std::snprintf(
-            row, sizeof(row),
-            ",\n    {\"name\": \"BM_GlobalCap/%s/feasibility\", "
-            "\"run_type\": \"iteration\", \"iterations\": 1, "
-            "\"real_time\": 0.0, \"cpu_time\": 0.0, "
-            "\"time_unit\": \"ms\", "
-            "\"global_feasible_rate\": %.3f, "
-            "\"greedy_feasible_rate\": %.3f}",
-            fleet.name.c_str(),
-            static_cast<double>(global_ok) /
-                static_cast<double>(cells),
-            static_cast<double>(greedy_ok) /
-                static_cast<double>(cells));
-        json += row;
+        const double n_cells = static_cast<double>(cells);
+        json.addRow(
+            "BM_GlobalCap/" + fleet.name + "/feasibility", 0.0,
+            {{"global_feasible_rate",
+              static_cast<double>(global_ok) / n_cells, 3},
+             {"greedy_feasible_rate",
+              static_cast<double>(greedy_ok) / n_cells, 3}});
     }
-    json += "\n  ]\n}\n";
-
-    const std::string out =
-        argc > 1 ? argv[1] : "BENCH_global.json";
-    if (std::FILE *f = std::fopen(out.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
+    if (!json.write(argc > 1 ? argv[1] : "BENCH_global.json"))
         return 1;
-    }
 
     if (greedy_beat_global) {
         std::fprintf(stderr,

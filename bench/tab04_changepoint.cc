@@ -220,10 +220,7 @@ main(int argc, char **argv)
     std::vector<std::string> texts = phasedScenarioTexts();
     texts.push_back(traceScenarioText(world));
 
-    std::string json =
-        "{\n  \"context\": {\"executable\": "
-        "\"tab04_changepoint\"},\n  \"benchmarks\": [\n";
-    bool first_row = true;
+    bench::BenchJson json("tab04_changepoint");
     bool dominated = true;
 
     experiments::TextTable table(
@@ -251,29 +248,20 @@ main(int argc, char **argv)
                  std::to_string(cell.result.changePoints),
                  experiments::fmt(cell.score, 1)});
 
-            char row[512];
-            std::snprintf(
-                row, sizeof(row),
-                "%s    {\"name\": \"BM_ChangePoint/%s/%s\", "
-                "\"run_type\": \"iteration\", \"iterations\": 1, "
-                "\"real_time\": 0.0, \"cpu_time\": 0.0, "
-                "\"time_unit\": \"ms\", "
-                "\"energy_joules\": %.3f, "
-                "\"deadline_hit_rate\": %.4f, "
-                "\"reestimations\": %zu, "
-                "\"change_points\": %zu, "
-                "\"energy_per_hit\": %.3f}",
-                first_row ? "" : ",\n", base.name.c_str(),
-                spec.changePointPolicy ==
-                        runtime::ChangePointPolicy::Off
-                    ? "fixed"
-                    : "changepoint",
-                cell.result.totalEnergy,
-                cell.result.deadlineHitRate,
-                cell.result.reestimations,
-                cell.result.changePoints, cell.score);
-            json += row;
-            first_row = false;
+            json.addRow(
+                "BM_ChangePoint/" + base.name + "/" +
+                    (spec.changePointPolicy ==
+                             runtime::ChangePointPolicy::Off
+                         ? "fixed"
+                         : "changepoint"),
+                0.0,
+                {{"energy_joules", cell.result.totalEnergy, 3},
+                 {"deadline_hit_rate", cell.result.deadlineHitRate, 4},
+                 {"reestimations",
+                  static_cast<double>(cell.result.reestimations), 0},
+                 {"change_points",
+                  static_cast<double>(cell.result.changePoints), 0},
+                 {"energy_per_hit", cell.score, 3}});
         }
 
         // The trace scenario is report-only: it exercises the replay
@@ -294,19 +282,9 @@ main(int argc, char **argv)
             }
         }
     }
-    json += "\n  ]\n}\n";
     std::printf("%s\n", table.render().c_str());
-
-    const std::string out =
-        argc > 1 ? argv[1] : "BENCH_scenario.json";
-    if (std::FILE *f = std::fopen(out.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
+    if (!json.write(argc > 1 ? argv[1] : "BENCH_scenario.json"))
         return 1;
-    }
 
     if (!dominated)
         return 1;

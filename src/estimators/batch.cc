@@ -21,13 +21,10 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
     const auto *as_leo = dynamic_cast<const LeoEstimator *>(&estimator_);
     parallel::parallelFor(pool_, requests.size(), [&](std::size_t i) {
         const EstimateRequest &r = requests[i];
-        if (as_leo &&
-            (r.warmStart || r.fitOut || r.representation)) {
+        if (as_leo && (r.warmStart || r.fitOut)) {
             results[i] = as_leo->estimateMetric(
                 space, r.prior, r.obsIndices, r.obsValues,
-                /*ws=*/nullptr, r.warmStart, r.fitOut,
-                r.representation.value_or(
-                    as_leo->options().representation));
+                /*ws=*/nullptr, r.warmStart, r.fitOut);
         } else {
             results[i] = estimator_.estimateMetric(
                 space, r.prior, r.obsIndices, r.obsValues);

@@ -16,7 +16,6 @@
 #define LEO_ESTIMATORS_BATCH_HH
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "estimators/estimator.hh"
@@ -47,15 +46,6 @@ struct EstimateRequest
      * requests must point at distinct fits.
      */
     LeoFit *fitOut = nullptr;
-    /**
-     * Per-request covariance representation override (LEO estimators
-     * only). The multi-tenant service resolves Auto per tenant at
-     * admission and pins it here so one shared estimator serves mixed
-     * dense/low-rank batches; nullopt uses the estimator's own
-     * options().representation, bitwise identical to before the field
-     * existed.
-     */
-    std::optional<CovarianceRep> representation;
 };
 
 /**

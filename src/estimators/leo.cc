@@ -2,23 +2,22 @@
  * @file
  * Implementation of the LEO hierarchical Bayesian estimator.
  *
- * Two implementations of the EM loop live here:
+ * Two implementations of the EM loop live here, one per covariance
+ * representation (CovarianceRep):
  *
- *  - The *reference path* (LeoOptions::referencePath) is the
- *    straightforward transcription of Equations (3)-(4): allocating
- *    temporaries every iteration, naive Cholesky/inverse kernels. It
- *    is the executable specification of the fit.
- *  - The default *workspace path* acquires every loop buffer up
+ *  - The *dense* loop (LeoEstimator::fitMetric) is the transcription
+ *    of Equations (3)-(4) over the full n x n Sigma and the
+ *    specification of the fit. It acquires every loop buffer up
  *    front from a linalg::Workspace, factors and inverts in place
  *    with the blocked kernels, and exploits symmetry (lower-triangle
- *    inverse + symv). It produces bitwise-identical output — every
- *    kernel it substitutes preserves the reference's per-entry
- *    floating-point accumulation order — while performing zero heap
- *    allocations inside the iteration loop and roughly halving the
- *    per-iteration flops.
+ *    inverse + symv), so the serial iteration loop performs zero heap
+ *    allocations.
+ *  - The *low-rank* loop (fitLowRank) runs the same EM on the
+ *    factored Sigma = alpha I + Q' C Q in q << n dimensions.
  *
- * The estimator tests assert exact equality between the two paths,
- * at several thread counts, warm and cold.
+ * The equivalence suite (tests/lowrank_test.cc) pins the low-rank
+ * loop to the dense one; the estimator tests pin the dense loop's
+ * bits across thread counts, workspaces and warm starts.
  */
 
 #include "estimators/leo.hh"
@@ -270,6 +269,47 @@ fitLowRank(const LeoOptions &opt,
     if (have_obs)
         chol_obs.reserve(s);
 
+    // Target E-step: condition on the observations entirely in the
+    // small dimensions. A = Sigma_Omega + sigma^2 I = beta I_s +
+    // P C P'; the posterior mean is tc = g + (alpha I + C) P' A^-1 r,
+    // and the posterior core is Ct = C - B' A^-1 B with
+    // B = alpha P + P C. Runs inside every iteration and once more
+    // for the prediction, under the theta current at the call.
+    auto condition_target = [&](double beta) {
+        Matrix::multiplyInto(pc, p, cmat);
+        linalg::abtInto(amat, pc, p);
+        amat.addToDiagonal(beta);
+        // Duplicate observation indices couple through the alpha I
+        // part of Sigma off the diagonal too: Sigma_Omega[j][j2]
+        // includes alpha whenever the two rows observe the same
+        // configuration.
+        for (std::size_t j = 0; j < s; ++j)
+            for (std::size_t j2 = j + 1; j2 < s; ++j2)
+                if (obs_idx[j] == obs_idx[j2]) {
+                    amat.at(j, j2) += alpha;
+                    amat.at(j2, j) += alpha;
+                }
+        chol_obs.factorize(amat, 0.0, 1e-8);
+        linalg::gemvInto(pg, p, g);
+        for (std::size_t j = 0; j < s; ++j)
+            r[j] = x_obs[j] - pg[j];
+        w = r;
+        chol_obs.solveInPlace(w);
+        linalg::gemvTransInto(u, p, w);
+        linalg::gemvInto(cu, cmat, u);
+        for (std::size_t k = 0; k < q; ++k)
+            tc[k] = g[k] + alpha * u[k] + cu[k];
+        for (std::size_t j = 0; j < s; ++j)
+            for (std::size_t k = 0; k < q; ++k)
+                bmat.at(j, k) = alpha * p.at(j, k) + pc.at(j, k);
+        xmat = bmat;
+        chol_obs.solveInPlace(xmat);
+        linalg::atbInto(ct, bmat, xmat);
+        for (std::size_t k = 0; k < q; ++k)
+            for (std::size_t k2 = 0; k2 < q; ++k2)
+                ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
+    };
+
     const double total_obs = static_cast<double>(m_prior * n + s);
     const double log2pi = std::log(2.0 * std::numbers::pi);
 
@@ -314,46 +354,9 @@ fitLowRank(const LeoOptions &opt,
                 zc.at(i, k) = coords.at(i, k) - sigma2 * wq[k];
         }
 
-        // E-step, target application: condition on the observations
-        // entirely in the small dimensions. A = Sigma_Omega +
-        // sigma^2 I = beta I_s + P C P'; the posterior mean is
-        // tc = g + (alpha I + C) P' A^-1 r, and the posterior core is
-        // Ct = C - B' A^-1 B with B = alpha P + P C.
-        if (have_obs) {
-            Matrix::multiplyInto(pc, p, cmat);
-            linalg::abtInto(amat, pc, p);
-            amat.addToDiagonal(beta);
-            // Duplicate observation indices couple through the
-            // alpha I part of Sigma off the diagonal too:
-            // Sigma_Omega[j][j2] includes alpha whenever the two
-            // rows observe the same configuration.
-            for (std::size_t j = 0; j < s; ++j)
-                for (std::size_t j2 = j + 1; j2 < s; ++j2)
-                    if (obs_idx[j] == obs_idx[j2]) {
-                        amat.at(j, j2) += alpha;
-                        amat.at(j2, j) += alpha;
-                    }
-            chol_obs.factorize(amat, 0.0, 1e-8);
-            linalg::gemvInto(pg, p, g);
-            for (std::size_t j = 0; j < s; ++j)
-                r[j] = x_obs[j] - pg[j];
-            w = r;
-            chol_obs.solveInPlace(w);
-            linalg::gemvTransInto(u, p, w);
-            linalg::gemvInto(cu, cmat, u);
-            for (std::size_t k = 0; k < q; ++k)
-                tc[k] = g[k] + alpha * u[k] + cu[k];
-            for (std::size_t j = 0; j < s; ++j)
-                for (std::size_t k = 0; k < q; ++k)
-                    bmat.at(j, k) =
-                        alpha * p.at(j, k) + pc.at(j, k);
-            xmat = bmat;
-            chol_obs.solveInPlace(xmat);
-            linalg::atbInto(ct, bmat, xmat);
-            for (std::size_t k = 0; k < q; ++k)
-                for (std::size_t k2 = 0; k2 < q; ++k2)
-                    ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
-        }
+        // E-step, target application.
+        if (have_obs)
+            condition_target(beta);
 
         // Marginal log-likelihood under the current theta;
         // logdet(Sigma + sigma^2 I) = (n - q) log beta +
@@ -480,35 +483,7 @@ fitLowRank(const LeoOptions &opt,
     // Final E-step for the target under the fitted theta, then expand
     // back to configuration space.
     if (have_obs) {
-        const double beta = alpha + sigma2;
-        Matrix::multiplyInto(pc, p, cmat);
-        linalg::abtInto(amat, pc, p);
-        amat.addToDiagonal(beta);
-        for (std::size_t j = 0; j < s; ++j)
-            for (std::size_t j2 = j + 1; j2 < s; ++j2)
-                if (obs_idx[j] == obs_idx[j2]) {
-                    amat.at(j, j2) += alpha;
-                    amat.at(j2, j) += alpha;
-                }
-        chol_obs.factorize(amat, 0.0, 1e-8);
-        linalg::gemvInto(pg, p, g);
-        for (std::size_t j = 0; j < s; ++j)
-            r[j] = x_obs[j] - pg[j];
-        w = r;
-        chol_obs.solveInPlace(w);
-        linalg::gemvTransInto(u, p, w);
-        linalg::gemvInto(cu, cmat, u);
-        for (std::size_t k = 0; k < q; ++k)
-            tc[k] = g[k] + alpha * u[k] + cu[k];
-        for (std::size_t j = 0; j < s; ++j)
-            for (std::size_t k = 0; k < q; ++k)
-                bmat.at(j, k) = alpha * p.at(j, k) + pc.at(j, k);
-        xmat = bmat;
-        chol_obs.solveInPlace(xmat);
-        linalg::atbInto(ct, bmat, xmat);
-        for (std::size_t k = 0; k < q; ++k)
-            for (std::size_t k2 = 0; k2 < q; ++k2)
-                ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
+        condition_target(alpha + sigma2);
     } else {
         tc = g;
         ct = cmat;
@@ -799,15 +774,11 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
         static_cast<double>(m_prior) + (have_obs ? 1.0 : 0.0);
 
     // ---- Representation dispatch ----------------------------------
-    // The reference path is by definition dense (it is the executable
-    // specification the other paths are judged against); Auto opts
-    // into the factored path only when the rank bound leaves enough
-    // headroom for the subspace algebra to win.
+    // Auto opts into the factored path only when the rank bound
+    // leaves enough headroom for the subspace algebra to win.
     const bool low_rank =
-        !options_.referencePath &&
-        (rep == CovarianceRep::LowRank ||
-         (rep == CovarianceRep::Auto &&
-          4 * (m_prior + s + 1) <= n));
+        rep == CovarianceRep::LowRank ||
+        (rep == CovarianceRep::Auto && 4 * (m_prior + s + 1) <= n);
     if (low_rank)
         return fitLowRank(options_, shapes, obs_idx, x_obs, scale, ws,
                           warm, alloc_counter);
@@ -863,195 +834,11 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
 
     const auto counter = alloc_counter;
 
-    if (options_.referencePath) {
-        const std::size_t alloc0 = counter ? counter() : 0;
-        for (std::size_t iter = 0; iter < options_.maxIterations;
-             ++iter) {
-            fit.iterations = iter + 1;
-
-            // E-step, fully-observed applications (shared algebra):
-            //   C_full = sigma^2 I - sigma^4 (Sigma + sigma^2 I)^-1
-            //   z_i    = x_i - sigma^2 (Sigma + sigma^2 I)^-1
-            //            (x_i - mu)
-            linalg::Matrix a = sigma_m;
-            a.addToDiagonal(sigma2);
-            const linalg::Cholesky chol(a, 1e-6);
-            const linalg::Matrix inv = chol.inverse();
-
-            // Fan the per-application E-step across the pool: the
-            // shared matrix-vector product inv * (x_i - mu) yields
-            // both the posterior mean z_i and the app's
-            // log-likelihood quadratic term. Each iteration writes
-            // disjoint slots; every reduction below folds in a fixed
-            // order, so the fit is bitwise identical at any thread
-            // count.
-            std::vector<linalg::Vector> z(m_prior);
-            linalg::Vector ll_quad(m_prior);
-            parallel::parallelFor(
-                workers, m_prior, [&](std::size_t i) {
-                    const linalg::Vector d = shapes[i] - mu;
-                    const linalg::Vector w = inv * d;
-                    ll_quad[i] = linalg::dot(d, w);
-                    z[i] = shapes[i] - sigma2 * w;
-                });
-
-            // Marginal log-likelihood of everything observed under
-            // the current theta: fully observed apps are N(mu, Sigma
-            // + sigma^2 I); the target contributes its Omega
-            // marginal.
-            {
-                const double log2pi =
-                    std::log(2.0 * std::numbers::pi);
-                double ll = -0.5 * static_cast<double>(m_prior) *
-                            (static_cast<double>(n) * log2pi +
-                             chol.logDet());
-                for (std::size_t i = 0; i < m_prior; ++i)
-                    ll -= 0.5 * ll_quad[i];
-                if (have_obs) {
-                    linalg::Matrix a_obs = sigma_m.gather(obs_idx);
-                    a_obs.addToDiagonal(sigma2);
-                    const linalg::Cholesky chol_obs(a_obs, 1e-8);
-                    linalg::Vector d(s);
-                    for (std::size_t j = 0; j < s; ++j)
-                        d[j] = x_obs[j] - mu[obs_idx[j]];
-                    const linalg::Vector w = chol_obs.solveLower(d);
-                    ll -= 0.5 * (static_cast<double>(s) * log2pi +
-                                 chol_obs.logDet() + w.squaredNorm());
-                }
-                fit.logLikelihoodTrace.push_back(ll);
-            }
-
-            // E-step, target application (sparse observations):
-            if (have_obs) {
-                target_post = stats::conditionOnObservations(
-                    mu, sigma_m, obs_idx, x_obs, sigma2, true);
-            }
-
-            // M-step: mu (Equation 4, mu_0 = 0).
-            linalg::Vector mu_new(n, 0.0);
-            for (const linalg::Vector &zi : z)
-                mu_new += zi;
-            if (have_obs)
-                mu_new += target_post.mean;
-            mu_new /= m_total + options_.hyperPi;
-
-            // M-step: Sigma (Equation 4; Psi and pi mu mu'
-            // normalized inside the bracket per Yu et al. '05 — see
-            // DESIGN.md).
-            linalg::Matrix s_accum(n, n, 0.0);
-            // sum_i C_i for the fully observed apps is m_prior *
-            // C_full; C_full = sigma^2 I - sigma^4 inv.
-            s_accum += (-sigma2 * sigma2 *
-                        static_cast<double>(m_prior)) * inv;
-            s_accum.addToDiagonal(sigma2 *
-                                  static_cast<double>(m_prior));
-            if (have_obs)
-                s_accum += target_post.cov;
-            // sum_i (z_i - mu)(z_i - mu)': per-chunk Gram partials
-            // folded along the fixed combine tree — the chunk layout
-            // depends only on m_prior, never on the worker count.
-            s_accum += parallel::parallelReduce<linalg::Matrix>(
-                workers, m_prior, emGrain(m_prior),
-                [&](std::size_t b, std::size_t e) {
-                    linalg::Matrix r(e - b, n);
-                    for (std::size_t i = b; i < e; ++i)
-                        for (std::size_t j = 0; j < n; ++j)
-                            r.at(i - b, j) = z[i][j] - mu_new[j];
-                    return linalg::Matrix::gram(r);
-                },
-                [](linalg::Matrix &into, linalg::Matrix &&from) {
-                    into += from;
-                });
-            if (have_obs) {
-                const linalg::Vector d = target_post.mean - mu_new;
-                s_accum += linalg::Matrix::outer(d, d);
-            }
-            s_accum += options_.hyperPi *
-                       linalg::Matrix::outer(mu_new, mu_new);
-            s_accum.addToDiagonal(options_.hyperPsiScale);
-            s_accum /= m_total + 1.0;
-            s_accum.symmetrize();
-
-            // M-step: sigma^2 (Equation 4).
-            double noise_accum = 0.0;
-            // Fully observed apps: every configuration contributes.
-            for (std::size_t i = 0; i < m_prior; ++i) {
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double cjj =
-                        sigma2 - sigma2 * sigma2 * inv.at(j, j);
-                    const double r = z[i][j] - shapes[i][j];
-                    noise_accum += cjj + r * r;
-                }
-            }
-            // Target: only the observed configurations contribute.
-            if (have_obs) {
-                for (std::size_t j = 0; j < s; ++j) {
-                    const std::size_t idx = obs_idx[j];
-                    const double r =
-                        target_post.mean[idx] - x_obs[j];
-                    noise_accum +=
-                        target_post.cov.at(idx, idx) + r * r;
-                }
-            }
-            double sigma2_new = std::max(noise_accum / total_obs,
-                                         options_.minSigma2);
-
-            // Convergence is judged on what the algorithm is for:
-            // the target prediction ("3-4 iterations to reach the
-            // desired accuracy", Section 5.5). Raw parameters —
-            // sigma^2 in particular — keep drifting geometrically
-            // long after the prediction has stabilized.
-            const linalg::Vector &pred =
-                have_obs ? target_post.mean : mu_new;
-            const double dpred = (pred - prev_pred).norm() /
-                                 (prev_pred.norm() + 1e-12);
-            prev_pred = pred;
-
-            mu = std::move(mu_new);
-            sigma_m = std::move(s_accum);
-            sigma2 = sigma2_new;
-
-            if (dpred < options_.tolerance) {
-                fit.converged = true;
-                break;
-            }
-        }
-        if (counter)
-            fit.loopAllocations = counter() - alloc0;
-
-        // ---- Prediction -------------------------------------------
-        // Final E-step for the target under the fitted parameters;
-        // the prediction is E[z_M | theta-hat] rescaled to raw units.
-        if (have_obs) {
-            target_post = stats::conditionOnObservations(
-                mu, sigma_m, obs_idx, x_obs, sigma2, true);
-        } else {
-            target_post.mean = mu;
-            target_post.cov = sigma_m;
-        }
-
-        fit.prediction = linalg::Vector(n);
-        fit.predictionVariance = linalg::Vector(n);
-        for (std::size_t j = 0; j < n; ++j) {
-            fit.prediction[j] =
-                std::max(target_post.mean[j] * scale, 0.0);
-            fit.predictionVariance[j] =
-                (target_post.cov.at(j, j) + sigma2) * scale * scale;
-        }
-        fit.mu = std::move(mu);
-        fit.sigma = std::move(sigma_m);
-        fit.sigma2 = sigma2;
-        return fit;
-    }
-
-    // ---- Workspace path -------------------------------------------
+    // ---- Loop buffers ---------------------------------------------
     // Acquire every buffer the loop touches up front; from here to
     // the end of the loop the only heap traffic is inside
     // ThreadPool::post when fanning to workers (serial fits are
     // strictly allocation-free, which the estimator tests assert).
-    // Observability: the reference path above stays uninstrumented —
-    // it is the executable specification the 0-ULP obs test compares
-    // this instrumented path against.
     EmObs &eo = emObs();
     obs::Span fit_span(obs::names::kEmFitSpan, "em");
     fit_span.arg("apps", static_cast<double>(m_prior));
@@ -1224,9 +1011,11 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
         double sigma2_new =
             std::max(noise_accum / total_obs, options_.minSigma2);
 
-        // Convergence on the target prediction, as in the reference
-        // path (the explicit difference loop reproduces
-        // (pred - prev_pred).norm() term for term).
+        // Convergence is judged on what the algorithm is for: the
+        // target prediction ("3-4 iterations to reach the desired
+        // accuracy", Section 5.5). Raw parameters — sigma^2 in
+        // particular — keep drifting geometrically long after the
+        // prediction has stabilized.
         const linalg::Vector &pred =
             have_obs ? target_post.mean : mu_new;
         double dd = 0.0;

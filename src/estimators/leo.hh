@@ -25,6 +25,10 @@
  *    (normalization.hh).
  *  - Following Section 5.5, mu is initialized from the Offline
  *    estimate, and convergence typically takes 3-4 iterations.
+ *  - Sigma is held dense (the specification) or factored low-rank
+ *    (CovarianceRep). The default, Auto, factors it whenever the
+ *    rank bound leaves headroom, so paper-sized spaces (n = 1024) fit
+ *    in milliseconds; callers that need the dense bits pin Dense.
  */
 
 #ifndef LEO_ESTIMATORS_LEO_HH
@@ -61,7 +65,7 @@ enum class EmInit
  * How the configuration covariance Sigma is represented during EM.
  *
  * The dense representation carries the full n x n matrix and is the
- * executable specification. The low-rank representation writes
+ * specification of the fit. The low-rank representation writes
  * Sigma = alpha I + Q' C Q with Q an orthonormal basis of the
  * subspace spanned by the prior shapes and the observed coordinate
  * directions (q = rank(Q) <= M + |Omega| << n), and runs every EM
@@ -71,7 +75,7 @@ enum class EmInit
  */
 enum class CovarianceRep
 {
-    Dense,   //!< Full n x n Sigma (bitwise-stable reference behavior).
+    Dense,   //!< Full n x n Sigma (the specification; O(n^3) per iteration).
     LowRank, //!< Factored alpha I + Q' C Q; O(n q^2) per iteration.
     Auto     //!< LowRank when 4 (M + |Omega| + 1) <= n, else Dense.
 };
@@ -105,23 +109,15 @@ struct LeoOptions
      */
     std::size_t threads = 0;
     /**
-     * Opt into the straightforward reference implementation of the
-     * EM loop (allocating temporaries each iteration, naive kernels).
-     * The default workspace path is bitwise identical to it — the
-     * estimator tests assert exact equality — just allocation-free
-     * and considerably faster at large n. Kept as the executable
-     * specification of the fit.
+     * Covariance representation (see CovarianceRep), the only
+     * representation setting: the runtime controller and the
+     * multi-tenant service fit with the estimator they are given.
+     * Auto picks LowRank exactly when the rank bound
+     * q = M + |Omega| + 1 satisfies 4 q <= n, so small spaces stay on
+     * the dense path. Pin Dense where the full Sigma is needed
+     * (LeoFit::sigma, Figure 4) or where 0-ULP dense bits matter.
      */
-    bool referencePath = false;
-    /**
-     * Covariance representation (see CovarianceRep). Dense keeps the
-     * historical bitwise-stable behavior and remains the default;
-     * LowRank trades 0-ULP reproducibility of the dense path for
-     * O(n q^2) iterations; Auto picks LowRank exactly when the rank
-     * bound q = M + |Omega| + 1 satisfies 4 q <= n. referencePath
-     * forces Dense (the reference loop is the dense specification).
-     */
-    CovarianceRep representation = CovarianceRep::Dense;
+    CovarianceRep representation = CovarianceRep::Auto;
     /**
      * When false, low-rank fits skip materializing the n-vector
      * predictionVariance (the q x q posterior core is still stored in
@@ -163,7 +159,7 @@ struct LeoFit
     bool warmStarted = false;
     /** Heap allocations observed inside the EM iteration loop when a
      *  counter is registered via setAllocationCounter (0 otherwise).
-     *  The workspace path keeps this at zero. */
+     *  Serial fits keep this at zero. */
     std::size_t loopAllocations = 0; // leo-lint: allow(snapshot-completeness) diagnostic counter, not model state
     /** True iff this fit used the low-rank representation. Low-rank
      *  fits leave `sigma` empty (at n = 16384 the dense matrix would
@@ -256,12 +252,10 @@ class LeoEstimator : public Estimator
     /**
      * Representation-override variant: identical to the warm-refit
      * overload, but dispatches dense/low-rank from `rep` instead of
-     * options().representation. Lets one shared estimator serve
-     * callers whose resolved representation differs per request (the
-     * multi-tenant service batches tenants with per-tenant Auto
-     * resolutions through a single estimator); passing
-     * options().representation is bitwise identical to the 7-argument
-     * overload. The ridge-retry fallback keeps the same override.
+     * options().representation, so one estimator can time or compare
+     * both paths. Passing options().representation is bitwise
+     * identical to the 7-argument overload. The ridge-retry fallback
+     * keeps the same override.
      */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,

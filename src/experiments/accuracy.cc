@@ -76,7 +76,10 @@ runAccuracyExperiment(estimators::Metric metric,
     const telemetry::ProfileStore store = telemetry::ProfileStore::collect(
         apps, machine, space, monitor, meter, master);
 
-    const estimators::LeoEstimator leo_est;
+    // The paper's estimator (Figs. 5-8): dense Sigma, pinned so the
+    // figures do not follow the Auto default onto the low-rank path.
+    const estimators::LeoEstimator leo_est(
+        {.representation = estimators::CovarianceRep::Dense});
     const estimators::OnlineEstimator online_est;
     const estimators::OfflineEstimator offline_est;
 

@@ -60,8 +60,13 @@ runEnergyExperiment(const workloads::ApplicationProfile &profile,
         model, space, policy, options.sampleBudget, rng);
     const estimators::EstimationInputs inputs{space, prior, obs};
 
+    // The paper's estimator (Figs. 10-12): dense Sigma, pinned so
+    // the figures do not follow the Auto default onto the low-rank
+    // path.
     const estimators::Estimate est_leo =
-        estimators::LeoEstimator().estimate(inputs);
+        estimators::LeoEstimator(
+            {.representation = estimators::CovarianceRep::Dense})
+            .estimate(inputs);
     const estimators::Estimate est_online =
         estimators::OnlineEstimator().estimate(inputs);
     const estimators::Estimate est_offline =

@@ -41,6 +41,9 @@ lpObs()
  *
  * with an explicit basis. Pivoting uses Bland's rule, which is slow
  * but cannot cycle; all LEO programs are small (|C| + 2 columns).
+ *
+ * Basic columns are kept exact unit vectors (see pivot()), so a basic
+ * column's reduced cost is exactly zero and can never re-enter.
  */
 class Tableau
 {
@@ -51,7 +54,8 @@ class Tableau
     {
     }
 
-    /** Run simplex iterations until optimal or unbounded. */
+    /** Run simplex iterations until optimal, unbounded, or out of
+     *  pivot budget. */
     LpStatus
     iterate()
     {
@@ -95,8 +99,9 @@ class Tableau
 
             pivot(leaving, entering);
         }
-        // Should be unreachable with Bland's rule.
-        return LpStatus::Unbounded;
+        // Unreachable with Bland's rule in exact arithmetic; report it
+        // as what it is rather than as a verdict on the program.
+        return LpStatus::PivotLimitHit;
     }
 
     /** Reduced cost of column j in the current canonical tableau. */
@@ -109,7 +114,17 @@ class Tableau
         return c_[j] - z;
     }
 
-    /** Gauss-Jordan pivot on (row, col); updates the basis. */
+    /**
+     * Gauss-Jordan pivot on (row, col); updates the basis.
+     *
+     * The entering column is then set to the exact unit vector it is
+     * in exact arithmetic. Without that, residues below kEps (skipped
+     * rows) or from rounding (eliminated rows) stay in basic columns,
+     * and with costs of a few hundred watts they add up to a reduced
+     * cost past -kEps on a column that is already basic: Bland's rule
+     * then re-enters it and pivots it on itself until the budget runs
+     * out (seen on 12-tenant fleets in the global planner).
+     */
     void
     pivot(std::size_t row, std::size_t col)
     {
@@ -123,12 +138,14 @@ class Tableau
             if (i == row)
                 continue;
             const double f = a_.at(i, col);
-            if (std::abs(f) < kEps)
-                continue;
-            for (std::size_t j = 0; j < n; ++j)
-                a_.at(i, j) -= f * a_.at(row, j);
-            b_[i] -= f * b_[row];
+            if (std::abs(f) >= kEps) {
+                for (std::size_t j = 0; j < n; ++j)
+                    a_.at(i, j) -= f * a_.at(row, j);
+                b_[i] -= f * b_[row];
+            }
+            a_.at(i, col) = 0.0;
         }
+        a_.at(row, col) = 1.0;
         basis_[row] = col;
     }
 
@@ -232,7 +249,9 @@ LinearProgram::solve() const
     Tableau t(a, b, c1, basis);
     // Canonicalize: subtract basic rows so reduced costs are correct.
     // (reducedCost handles this implicitly, no action needed.)
-    LpStatus s1 = t.iterate();
+    const LpStatus s1 = t.iterate();
+    if (s1 == LpStatus::PivotLimitHit)
+        return LpSolution{s1, Vector(num_vars_), 0.0};
     invariant(s1 != LpStatus::Unbounded, "phase-1 LP unbounded");
 
     // Feasibility threshold scales with the right-hand side: an
@@ -308,9 +327,9 @@ LinearProgram::solve() const
         c2[j] = objective_[j];
 
     Tableau t2(a2, b2, c2, std::move(basis2));
-    LpStatus s2 = t2.iterate();
-    if (s2 == LpStatus::Unbounded)
-        return LpSolution{LpStatus::Unbounded, Vector(num_vars_), 0.0};
+    const LpStatus s2 = t2.iterate();
+    if (s2 != LpStatus::Optimal)
+        return LpSolution{s2, Vector(num_vars_), 0.0};
 
     Vector x(num_vars_, 0.0);
     for (std::size_t i = 0; i < kept.size(); ++i)

@@ -30,9 +30,10 @@ namespace leo::linalg
 /** Outcome of a linear-program solve. */
 enum class LpStatus
 {
-    Optimal,    //!< An optimal basic feasible solution was found.
-    Infeasible, //!< The constraints admit no solution.
-    Unbounded   //!< The objective is unbounded below.
+    Optimal,       //!< An optimal basic feasible solution was found.
+    Infeasible,    //!< The constraints admit no solution.
+    Unbounded,     //!< The objective is unbounded below.
+    PivotLimitHit  //!< The pivot budget ran out first; no verdict.
 };
 
 /** Solution of a linear program. */
@@ -51,7 +52,8 @@ struct LpSolution
  *     min c' x  s.t.  Aeq x = beq,  Aub x <= bub,  x >= 0.
  *
  * Either constraint block may be empty. Solved with a dense two-phase
- * simplex using Bland's rule (no cycling).
+ * simplex using Bland's rule (no cycling). A solve that exhausts its
+ * pivot budget reports PivotLimitHit, never a feasibility verdict.
  */
 class LinearProgram
 {

@@ -459,17 +459,15 @@ EnergyController::fitUnguarded()
     const auto *as_leo =
         dynamic_cast<const estimators::LeoEstimator *>(estimator_);
     if (as_leo) {
-        const estimators::CovarianceRep rep = fitRepresentation();
         estimators::MetricEstimate perf = as_leo->estimateMetric(
             space_,
             priorVectors(prior_, estimators::Metric::Performance),
             observations_.indices, observations_.performance,
-            &fit_ws_, have_fits_ ? &perf_fit_ : nullptr, &perf_fit_,
-            rep);
+            &fit_ws_, have_fits_ ? &perf_fit_ : nullptr, &perf_fit_);
         estimators::MetricEstimate power = as_leo->estimateMetric(
             space_, priorVectors(prior_, estimators::Metric::Power),
             observations_.indices, observations_.power, &fit_ws_,
-            have_fits_ ? &power_fit_ : nullptr, &power_fit_, rep);
+            have_fits_ ? &power_fit_ : nullptr, &power_fit_);
         have_fits_ = true;
         samples_rejected_.add(perf.samplesRejected +
                               power.samplesRejected);
@@ -516,21 +514,6 @@ EnergyController::replan()
     // evidence accumulated against the old one is void.
     cp_perf_.reset();
     cp_power_.reset();
-}
-
-estimators::CovarianceRep
-EnergyController::fitRepresentation() const
-{
-    // An estimator constructed with an explicit non-Dense
-    // representation keeps it; the controller knob only replaces the
-    // estimator's Dense default (so pre-existing LowRank/Auto opt-ins
-    // behave exactly as before this knob existed).
-    const auto *as_leo =
-        dynamic_cast<const estimators::LeoEstimator *>(estimator_);
-    if (as_leo && as_leo->options().representation !=
-                      estimators::CovarianceRep::Dense)
-        return as_leo->options().representation;
-    return options_.representation;
 }
 
 void

@@ -70,18 +70,6 @@ struct ControllerOptions
      */
     std::size_t onlineSampleWindow = 32;
     /**
-     * Covariance representation for LEO (re)fits. Auto lets each fit
-     * pick the factored path when the rank bound leaves headroom
-     * (4 (M + |Omega| + 1) <= n) and the bitwise-stable dense path
-     * otherwise — on the small spaces the historical tests run, Auto
-     * resolves to Dense and schedules are unchanged. An estimator
-     * constructed with an explicit non-Dense representation keeps it
-     * (see fitRepresentation()); this knob only replaces the
-     * estimator's Dense default.
-     */
-    estimators::CovarianceRep representation =
-        estimators::CovarianceRep::Auto;
-    /**
      * Phase-change reaction policy (runtime/changepoint.hh). Off
      * keeps the legacy EWMA-history drift trigger and is bitwise
      * identical to pre-detector behavior. ColdRefit / PriorReset
@@ -199,20 +187,11 @@ class EnergyController
     }
 
     /**
-     * The covariance representation LEO (re)fits dispatch on: the
-     * estimator's own non-Dense opt-in when present, else
-     * options().representation. Service callers pass this to their
-     * batched fits (and into the fit-cache key) so an external fit
-     * is bitwise identical to the inline one.
-     */
-    estimators::CovarianceRep fitRepresentation() const;
-
-    /**
      * Complete a deferred fit: install externally computed estimates
      * and warm fits, then replan and switch to Controlling — the
      * exact sequence the inline fit runs, so a deferred fit computed
-     * with the same inputs (observations(), warm fits,
-     * fitRepresentation()) yields a bitwise-identical schedule.
+     * with the same inputs (observations(), warm fits, the same
+     * estimator) yields a bitwise-identical schedule.
      * Estimates that come back unusable (wrong size or non-finite)
      * engage the same degradation policy as an inline fit failure.
      * Never throws.

@@ -4,11 +4,11 @@
  *
  * Tenants of the same application frequently finish their probe
  * plans with identical observation multisets (replayed traces, A/B
- * fleets, restarted instances). A cold LEO fit is a pure function of
- * (prior, observations, representation), so its result can be shared:
- * the cache keys on (app id, prior version, representation,
- * Observations::contentHash) and returns the previously computed
- * estimate + fit pair.
+ * fleets, restarted instances). Within one service (one estimator,
+ * hence one representation) a cold LEO fit is a pure function of
+ * (prior, observations), so its result can be shared: the cache keys
+ * on (app id, prior version, Observations::contentHash) and returns
+ * the previously computed estimate + fit pair.
  *
  * Only *cold* fits are cached. A warm-started fit also depends on the
  * tenant's private EM history, which the key does not capture —
@@ -41,17 +41,13 @@ struct FitCacheKey
     std::string appId;
     /** Version of the shared offline prior the fit used. */
     std::uint64_t priorVersion = 0;
-    /** Covariance representation the fit dispatched on. */
-    std::uint8_t representation = 0;
     /** Observations::contentHash of the observation set. */
     std::uint64_t obsHash = 0;
 
     bool operator<(const FitCacheKey &o) const
     {
-        return std::tie(appId, priorVersion, representation,
-                        obsHash) < std::tie(o.appId, o.priorVersion,
-                                            o.representation,
-                                            o.obsHash);
+        return std::tie(appId, priorVersion, obsHash) <
+               std::tie(o.appId, o.priorVersion, o.obsHash);
     }
 };
 

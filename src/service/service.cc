@@ -245,8 +245,20 @@ Service::globalReplan(TickReport &report)
     }
     optimizer::GlobalPlanOptions popts;
     popts.powerCapWatts = options_.powerCapWatts;
-    global_plan_ = optimizer::planGlobalSchedule(
-        demands, options_.controller.idlePower, popts);
+    try {
+        global_plan_ = optimizer::planGlobalSchedule(
+            demands, options_.controller.idlePower, popts);
+    } catch (const std::exception &) {
+        // The planner gave up without a plan (e.g. an LP invariant
+        // tripped). No shared plan this tick: every planned tenant
+        // gets an empty infeasible slice and keeps pacing on its own
+        // controller; the tick counts as infeasible.
+        optimizer::Schedule none;
+        none.feasible = false;
+        global_plan_ = optimizer::GlobalSchedule{};
+        global_plan_.feasible = false;
+        global_plan_.perTenant.assign(global_tenants_.size(), none);
+    }
     global_replans_.add(1);
     if (!global_plan_.feasible)
         global_infeasible_.add(1);
@@ -294,8 +306,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         FitCacheKey key;
         key.appId = sess.config.appId;
         key.priorVersion = sess.priorVersion;
-        key.representation =
-            static_cast<std::uint8_t>(ctl.fitRepresentation());
         key.obsHash =
             ctl.observations().contentHash(space_.size());
         if (cold) {
@@ -318,15 +328,15 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     // One shared batch for the whole fleet: the per-tenant q-space
     // EM work shares a single parallel region instead of N tiny
     // ones. Requests mirror the controller's inline fit inputs
-    // exactly (observations, warm fits, representation), so
-    // applyExternalFit reproduces the inline schedule bit for bit.
+    // exactly (observations, warm fits, and the estimator the
+    // controller itself fits with), so applyExternalFit reproduces
+    // the inline schedule bit for bit.
     estimators::EstimatorBatch batch(estimator_, pool_);
     std::vector<estimators::LeoFit> perf_fits(jobs.size());
     std::vector<estimators::LeoFit> power_fits(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Session &sess = *jobs[i].sess;
         const runtime::EnergyController &ctl = *sess.controller;
-        const auto rep = ctl.fitRepresentation();
 
         estimators::EstimateRequest perf_req;
         perf_req.prior = estimators::priorVectors(
@@ -335,7 +345,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         perf_req.obsValues = ctl.observations().performance;
         perf_req.warmStart = ctl.warmPerfFit();
         perf_req.fitOut = &perf_fits[i];
-        perf_req.representation = rep;
         batch.add(std::move(perf_req));
 
         estimators::EstimateRequest power_req;
@@ -345,7 +354,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         power_req.obsValues = ctl.observations().power;
         power_req.warmStart = ctl.warmPowerFit();
         power_req.fitOut = &power_fits[i];
-        power_req.representation = rep;
         batch.add(std::move(power_req));
     }
 

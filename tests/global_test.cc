@@ -8,8 +8,13 @@
 #include <cmath>
 
 #include "linalg/error.hh"
+#include "obs/obs.hh"
 #include "optimizer/global.hh"
+#include "platform/config_space.hh"
 #include "stats/rng.hh"
+#include "workloads/app_model.hh"
+#include "workloads/ground_truth.hh"
+#include "workloads/suite.hh"
 
 using namespace leo;
 using linalg::Vector;
@@ -266,6 +271,53 @@ TEST(GlobalPlan, DeterministicAcrossRepeatedCalls)
                       b.perTenant[t].parts[i].seconds);
         }
     }
+}
+
+/**
+ * A 12-tenant fleet on the paper's 1024-configuration space, tenants
+ * interleaved x264, bodytrack, swaptions, kmeans, cfd, bfs twice over,
+ * each with work (0.2 / 12) x its peak rate by a 1 s deadline. Every
+ * tenant at its peak rate needs 1/60 s, 0.2 s for the fleet, so the
+ * plan is feasible by inspection. The simplex used to stall on it:
+ * rounding residue in basic columns gave a basic column a reduced
+ * cost of about -1.3e-9, Bland's rule re-entered it and pivoted it on
+ * itself for over a million pivots until the budget ran out, and the
+ * fleet came back infeasible.
+ */
+TEST(GlobalPlan, TwelveTenantFleetIsFeasibleInBoundedPivots)
+{
+    platform::Machine machine;
+    const platform::ConfigSpace space =
+        platform::ConfigSpace::fullFactorial(machine);
+    std::vector<TenantDemand> demands;
+    for (int round = 0; round < 2; ++round) {
+        for (const char *name :
+             {"x264", "bodytrack", "swaptions", "kmeans", "cfd", "bfs"}) {
+            const workloads::ApplicationModel model(
+                workloads::profileByName(name), machine);
+            const workloads::GroundTruth gt =
+                workloads::computeGroundTruth(model, space);
+            demands.push_back(TenantDemand{
+                gt.performance, gt.power,
+                {0.2 / 12.0 * gt.performance.max(), 1.0}});
+        }
+    }
+
+    obs::Counter pivots = obs::Registry::global().counter(
+        obs::names::kLpPivotsStepped);
+    const std::uint64_t before = pivots.value();
+    const GlobalSchedule g = optimizer::planGlobalSchedule(
+        demands, machine.spec().idleSystemPowerW, {});
+    const std::uint64_t stepped = pivots.value() - before;
+
+    EXPECT_TRUE(g.feasible);
+    ASSERT_EQ(g.perTenant.size(), demands.size());
+    for (std::size_t t = 0; t < demands.size(); ++t)
+        EXPECT_NEAR(workDelivered(g.perTenant[t], demands[t].performance),
+                    demands[t].constraint.work,
+                    1e-6 * demands[t].constraint.work);
+    EXPECT_GT(stepped, 0u);
+    EXPECT_LT(stepped, 20000u);
 }
 
 TEST(GlobalPlan, RejectsMalformedInputs)

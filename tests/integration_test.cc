@@ -65,7 +65,9 @@ TEST(FullScale, LeoEndToEndOnKmeans)
     telemetry::RandomSampler pol;
     auto obs = prof.sample(app, w.space, pol, 20, rng);
 
-    estimators::LeoEstimator leo;
+    // The paper's estimator, as the figure benches run it: dense.
+    estimators::LeoEstimator leo(
+        {.representation = estimators::CovarianceRep::Dense});
     auto prior = w.store.without("kmeans");
     estimators::EstimationInputs inputs{w.space, prior, obs};
     auto est = leo.estimate(inputs);
@@ -112,7 +114,8 @@ TEST(FullScale, EstimatorOrderingOnRepresentativeApps)
     telemetry::Profiler prof(mon, met);
     telemetry::RandomSampler pol;
 
-    estimators::LeoEstimator leo;
+    estimators::LeoEstimator leo(
+        {.representation = estimators::CovarianceRep::Dense});
     estimators::OnlineEstimator online;
     estimators::OfflineEstimator offline;
 

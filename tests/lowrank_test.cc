@@ -8,8 +8,8 @@
  * rounding, not to the bit. The discipline mirrors PR 2's two-path
  * harness:
  *
- *  - Where the dense path runs verbatim (Auto resolving to Dense,
- *    referencePath), equality is asserted at 0 ULP.
+ *  - Where the dense path runs verbatim (Auto resolving to Dense),
+ *    equality is asserted at 0 ULP.
  *  - Where the reordering is inherent (LowRank vs Dense), relative
  *    L2 agreement is pinned at documented tolerances: 1e-6 on
  *    well-conditioned problems, 1e-4 on deliberately ill-conditioned
@@ -357,17 +357,6 @@ TEST(LowRankAuto, ResolvesLowRankOnLargeProblems)
     const LeoEstimator automatic(gridOptions(CovarianceRep::Auto));
     const LeoFit fa = automatic.fitMetric(prior, idx, vals);
     EXPECT_TRUE(fa.lowRank);
-}
-
-TEST(LowRankAuto, ReferencePathForcesDense)
-{
-    auto prior = makePrior(6, 256, 6, 43);
-    LeoOptions opt = gridOptions(CovarianceRep::LowRank);
-    opt.referencePath = true;
-    const LeoEstimator est(opt);
-    const LeoFit f = est.fitMetric(prior, {3, 9}, Vector{10.0, 11.0});
-    EXPECT_FALSE(f.lowRank);
-    EXPECT_FALSE(f.sigma.empty());
 }
 
 // ------------------------------------------------------- Warm starts

@@ -5,7 +5,7 @@
  * JSON export), the tracer (ring capacity, drop counting, Chrome
  * trace_event output) and the two integration guarantees the rest of
  * the pipeline relies on — the instrumented fit is bitwise identical
- * to the uninstrumented reference path, and counter snapshots are
+ * to the same fit with observability off, and counter snapshots are
  * identical at any fit thread count.
  */
 // leo-lint: allow-file(obs-naming) — registry mechanics are tested
@@ -340,28 +340,28 @@ TEST(ObsTracer, ChromeTraceJsonIsWellFormed)
 
 // ------------------------------------------------------ integration
 
-TEST(ObsIntegration, InstrumentedFitMatchesReferencePathBitwise)
+TEST(ObsIntegration, InstrumentedFitMatchesObsDisabledFitBitwise)
 {
-    // The 0-ULP guarantee: the instrumented workspace path (metrics
-    // on, tracing actively recording) computes exactly the same bits
-    // as the uninstrumented reference path.
+    // The 0-ULP guarantee: the dense loop instrumented (metrics on,
+    // tracing actively recording) computes exactly the same bits as
+    // the same loop with the registry a null sink and tracing off.
     const FitProblem p = makeFitProblem(12);
+    estimators::LeoOptions o;
+    o.threads = 1;
+    const estimators::LeoEstimator est(o);
 
-    estimators::LeoOptions oref;
-    oref.threads = 1;
-    oref.referencePath = true;
-    const estimators::LeoFit ref =
-        estimators::LeoEstimator(oref).fitMetric(p.prior, p.idx,
-                                                 p.vals);
-
+    obs::Registry &reg = obs::Registry::global();
     obs::Tracer &tracer = obs::Tracer::global();
     tracer.clear();
+    reg.setEnabled(false);
+    const estimators::LeoFit ref = est.fitMetric(p.prior, p.idx, p.vals);
+    reg.setEnabled(true);
+    EXPECT_EQ(tracer.recorded(), 0u);
+
     tracer.enable(1u << 12);
-    estimators::LeoOptions ows;
-    ows.threads = 1;
     linalg::Workspace ws;
-    const estimators::LeoFit fast = estimators::LeoEstimator(
-        ows).fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
+    const estimators::LeoFit fast =
+        est.fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
     tracer.disable();
 
     EXPECT_GT(tracer.recorded(), 0u); // the fit did emit spans

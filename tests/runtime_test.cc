@@ -241,25 +241,23 @@ TEST(PhasedRun, LeoNearOracleEnergy)
 // --------------------------------- Auto representation default
 
 /**
- * ControllerOptions defaults to CovarianceRep::Auto, and on the
- * small test spaces Auto resolves to Dense — so the default-option
- * schedule is bitwise what it was when Dense was the default.
+ * LeoOptions defaults to CovarianceRep::Auto, and on the small test
+ * spaces Auto resolves to Dense — so a controller on a default-built
+ * estimator runs bitwise the schedule of one pinned to Dense.
  */
 TEST(Controller, AutoRepresentationDefaultPreservesDenseSchedule)
 {
     World w;
-    estimators::LeoEstimator leo;
     auto prior = w.store.without("x264");
     workloads::ApplicationModel app(
         workloads::profileByName("x264"), w.machine);
 
-    ASSERT_EQ(ControllerOptions{}.representation,
+    ASSERT_EQ(estimators::LeoOptions{}.representation,
               estimators::CovarianceRep::Auto);
 
     auto run = [&](estimators::CovarianceRep rep) {
-        ControllerOptions o = w.options(40.0, 5);
-        o.representation = rep;
-        EnergyController ctl(w.space, &leo, prior, o);
+        const estimators::LeoEstimator leo({.representation = rep});
+        EnergyController ctl(w.space, &leo, prior, w.options(40.0, 5));
         stats::Rng rng(23);
         std::vector<std::size_t> schedule;
         for (int i = 0; i < 20; ++i) {
@@ -270,11 +268,56 @@ TEST(Controller, AutoRepresentationDefaultPreservesDenseSchedule)
                 {cfg, w.monitor.measureRate(app, ra, rng),
                  w.meter.read(app, ra, rng)});
         }
+        EXPECT_FALSE(ctl.warmPerfFit()->lowRank);
         return schedule;
     };
 
     EXPECT_EQ(run(estimators::CovarianceRep::Auto),
               run(estimators::CovarianceRep::Dense));
+}
+
+/**
+ * The estimator's representation is the controller's only setting:
+ * where the Auto default factors Sigma (4 (M + |Omega| + 1) <= n),
+ * an estimator pinned to Dense still fits dense under the controller.
+ */
+TEST(Controller, ExplicitDenseEstimatorFitsDense)
+{
+    platform::Machine machine;
+    const platform::ConfigSpace space =
+        platform::ConfigSpace::reducedFactorial(machine, 2, 2);
+    telemetry::HeartbeatMonitor monitor{0.01};
+    telemetry::WattsUpMeter meter{0.005, 0.1};
+    stats::Rng collect_rng(7);
+    const telemetry::ProfileStore prior =
+        telemetry::ProfileStore::collect(
+            workloads::standardSuite(), machine, space, monitor, meter,
+            collect_rng)
+            .without("x264");
+    workloads::ApplicationModel app(
+        workloads::profileByName("x264"), machine);
+
+    auto fitted_low_rank = [&](estimators::CovarianceRep rep) {
+        const estimators::LeoEstimator leo({.representation = rep});
+        ControllerOptions o;
+        o.targetRate = 40.0;
+        o.sampleBudget = 5;
+        o.idlePower = machine.spec().idleSystemPowerW;
+        EnergyController ctl(space, &leo, prior, o);
+        stats::Rng rng(23);
+        for (int i = 0; i < 8; ++i) {
+            const std::size_t cfg = ctl.nextConfig(rng);
+            const auto &ra = space.assignment(cfg);
+            ctl.recordMeasurement({cfg, monitor.measureRate(app, ra, rng),
+                                   meter.read(app, ra, rng)});
+        }
+        const estimators::LeoFit *fit = ctl.warmPerfFit();
+        EXPECT_NE(fit, nullptr);
+        return fit != nullptr && fit->lowRank;
+    };
+
+    EXPECT_TRUE(fitted_low_rank(estimators::CovarianceRep::Auto));
+    EXPECT_FALSE(fitted_low_rank(estimators::CovarianceRep::Dense));
 }
 
 // ------------------------------------------ state snapshot/restore

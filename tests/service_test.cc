@@ -629,9 +629,9 @@ TEST(ShardQueue, ConcurrentProducersLoseNothing)
 TEST(FitCache, EvictsLeastRecentlyUsedDeterministically)
 {
     service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 0, 1};
-    service::FitCacheKey b{"b", 0, 0, 2};
-    service::FitCacheKey c{"c", 0, 0, 3};
+    service::FitCacheKey a{"a", 0, 1};
+    service::FitCacheKey b{"b", 0, 2};
+    service::FitCacheKey c{"c", 0, 3};
     cache.insert(a, {});
     cache.insert(b, {});
     EXPECT_NE(cache.lookup(a), nullptr); // a is now most recent.
@@ -646,7 +646,7 @@ TEST(FitCache, EvictsLeastRecentlyUsedDeterministically)
 TEST(FitCache, ZeroCapacityDisables)
 {
     service::FitCache cache(0);
-    service::FitCacheKey k{"a", 0, 0, 1};
+    service::FitCacheKey k{"a", 0, 1};
     cache.insert(k, {});
     EXPECT_EQ(cache.lookup(k), nullptr);
     EXPECT_EQ(cache.size(), 0u);
@@ -655,7 +655,7 @@ TEST(FitCache, ZeroCapacityDisables)
 TEST(FitCache, OverwriteRefreshesWithoutEviction)
 {
     service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 0, 1};
+    service::FitCacheKey a{"a", 0, 1};
     service::CachedFit fit;
     fit.perfEstimate.reliable = true;
     cache.insert(a, {});

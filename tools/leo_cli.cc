@@ -127,7 +127,9 @@ cmdEstimate(const Options &opts)
     for (const auto &r : rows)
         prior.push_back(r.values);
 
+    // The paper's estimator: dense Sigma, whatever the space size.
     estimators::LeoOptions lo;
+    lo.representation = estimators::CovarianceRep::Dense;
     lo.hyperPsiScale = getDouble(opts, "psi", lo.hyperPsiScale);
     lo.maxIterations = static_cast<std::size_t>(
         getDouble(opts, "iters", static_cast<double>(

@@ -6,9 +6,9 @@
  * offline prior), admits a small fleet of tenants into
  * leo::service::Service, and drives each through its sampling phase
  * into steady-state control — samples flowing through the sharded
- * lock-free queues, all EM fits batched on the shared pool, cold
- * fits shared through the fit cache. Finishes with a snapshot
- * round-trip to show bit-identical resumption.
+ * lock-free queues, all EM fits batched on the shared pool.
+ * Finishes with a snapshot round-trip to show bit-identical
+ * resumption.
  *
  *   ./service_quickstart [tenants]     (default: 6)
  */
@@ -48,7 +48,7 @@ main(int argc, char **argv)
     estimators::LeoEstimator estimator;
     parallel::ThreadPool pool(2);
 
-    // 2. The service: 4 shards, deferred batched fits, fit cache.
+    // 2. The service: 4 shards, deferred batched fits.
     service::ServiceOptions opt;
     opt.shards = 4;
     opt.controller.sampleBudget = 6;
@@ -90,11 +90,9 @@ main(int argc, char **argv)
         const auto report = svc.tick();
         if (report.tenantsFitted > 0)
             std::printf("  tick %2zu: %zu windows, fitted %zu "
-                        "tenants (%zu EM fits batched, %zu cache "
-                        "hits)\n",
+                        "tenants (%zu EM fits batched)\n",
                         round, report.windowsProcessed,
-                        report.tenantsFitted, report.fitsBatched,
-                        report.cacheHits);
+                        report.tenantsFitted, report.fitsBatched);
     }
 
     // 5. Snapshot and restore: the restored service resumes every
@@ -117,13 +115,10 @@ main(int argc, char **argv)
                 identical ? "bit-identically" : "DIFFERENTLY (bug!)");
 
     const auto snap = svc.metrics().snapshot();
-    std::printf("Counters: %llu windows, %llu fits batched, "
-                "%llu cache hits.\n",
+    std::printf("Counters: %llu windows, %llu fits batched.\n",
                 static_cast<unsigned long long>(snap.counterOr(
                     obs::names::kServiceWindowsProcessed)),
                 static_cast<unsigned long long>(snap.counterOr(
-                    obs::names::kServiceFitsBatched)),
-                static_cast<unsigned long long>(
-                    snap.counterOr(obs::names::kServiceCacheHits)));
+                    obs::names::kServiceFitsBatched)));
     return identical ? 0 : 1;
 }

@@ -96,11 +96,11 @@ sanitizeObservations(const std::vector<std::size_t> &idx,
     // Merge duplicates order-independently: a running mean depends
     // on arrival order (floating-point addition is not associative),
     // which breaks the contract that permuted duplicate sets — which
-    // collide in Observations::contentHash and trace replays produce
-    // routinely — sanitize to bitwise-identical values. Summing in
-    // ascending value order is the deterministic tie-break, and a
-    // set of identical readings (repeated trace rows) reproduces the
-    // reading exactly.
+    // trace replays and retried probes produce routinely — sanitize
+    // to bitwise-identical values, so a replay fits the same.
+    // Summing in ascending value order is the deterministic
+    // tie-break, and a set of identical readings (repeated trace
+    // rows) reproduces the reading exactly.
     out.values.reserve(out.indices.size());
     for (auto &dup : gathered) {
         bool all_equal = true;

@@ -22,8 +22,8 @@
  *     ascending order, and a set of bit-identical readings (trace
  *     replays repeat rows verbatim) merges to exactly that reading —
  *     so any permutation of the same duplicate set sanitizes to
- *     bitwise-identical values, matching the permutation-invariant
- *     Observations::contentHash the service's fit cache keys on.
+ *     bitwise-identical values and a replay that delivers retried
+ *     probes in a different order fits exactly the same.
  *
  * A clean observation set passes through untouched — `modified` is
  * false and the caller keeps using its own buffers — so sanitization

@@ -237,7 +237,9 @@ class Cholesky
 Vector spdSolve(const Matrix &a, const Vector &b);
 
 /**
- * Convenience wrapper: explicit SPD inverse.
+ * Convenience wrapper: explicit SPD inverse. No library code calls
+ * it (fits use Cholesky::inverseInto); it stays as the plain-form
+ * reference stats_test checks the conditioning kernels against.
  */
 Matrix spdInverse(const Matrix &a);
 

@@ -141,12 +141,10 @@ inline constexpr const char *kServiceTicksRun =
     "leo.service.ticks.run";
 inline constexpr const char *kServiceFitsBatched =
     "leo.service.fits.batched";
-inline constexpr const char *kServiceCacheHits =
-    "leo.service.cache.hits";
+/** Always 0; kept for the benchmark driver; delete with the next
+ *  benchmark change. No counter is registered under it. */
 inline constexpr const char *kServiceCacheMisses =
     "leo.service.cache.misses";
-inline constexpr const char *kServiceCacheEvictions =
-    "leo.service.cache.evictions";
 inline constexpr const char *kServicePriorRefreshes =
     "leo.service.prior.refreshes";
 inline constexpr const char *kServiceGlobalReplans =

@@ -168,6 +168,9 @@ parallelFor(ThreadPool &pool, std::size_t n, Body &&body)
  * rounding — is identical at every worker count, and the tree levels
  * themselves run in parallel.
  *
+ * Library code calls parallelReduceInto; this allocating form stays
+ * as the reference its bitwise tests (parallel_test) compare against.
+ *
  * @param pool    Pool to fan across (0 workers = inline, same tree).
  * @param n       Number of items; must be positive.
  * @param grain   Items per leaf chunk (0 treated as 1).

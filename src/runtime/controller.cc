@@ -109,8 +109,6 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
                 return;
             }
             fit();
-            replan();
-            state_ = State::Controlling;
         }
         return;
     }
@@ -338,25 +336,35 @@ EnergyController::fit()
     span.arg("observations",
              static_cast<double>(observations_.size()));
 
-    // No estimator throw escapes the controller: a failed or
-    // non-finite fit engages the degradation policy instead of
-    // crashing the control loop mid-flight.
+    // No estimator throw escapes the controller: a failed fit
+    // engages the degradation policy instead of crashing the control
+    // loop mid-flight.
+    bool fitted = false;
     try {
         fitUnguarded();
-        if (perf_.size() == space_.size() &&
-            power_.size() == space_.size() && perf_.allFinite() &&
-            power_.allFinite()) {
-            fallback_remaining_ = 0;
-            seedRefits();
-            return;
-        }
+        fitted = true;
     } catch (const std::exception &) {
-        // Fall through to the fallback policy.
+        // installFit() falls back below.
     }
-    refit_perf_.deactivate();
-    refit_power_.deactivate();
-    fits_failed_.add(1);
-    fallbackEstimates();
+    installFit(fitted);
+}
+
+void
+EnergyController::installFit(bool fitted)
+{
+    if (fitted && perf_.size() == space_.size() &&
+        power_.size() == space_.size() && perf_.allFinite() &&
+        power_.allFinite()) {
+        fallback_remaining_ = 0;
+        seedRefits();
+    } else {
+        refit_perf_.deactivate();
+        refit_power_.deactivate();
+        fits_failed_.add(1);
+        fallbackEstimates();
+    }
+    replan();
+    state_ = State::Controlling;
 }
 
 void
@@ -393,14 +401,23 @@ EnergyController::seedRefits()
     }
 }
 
-void
+bool
 EnergyController::replanPreserving()
 {
     if (!hasEstimates()) {
+        // Race-to-idle degradation: with no estimates at all the
+        // frontier is unknown; paceConfig() then runs the final
+        // (all-resources) configuration.
         frontier_.clear();
-        return;
+        return false;
     }
+    // Pacing selects a single configuration per window (the slack is
+    // idled out inside the window), so the candidate set is the full
+    // Pareto frontier: unlike batch scheduling, pure selection can
+    // exploit frontier points that sit above the convex hull.
     frontier_ = optimizer::paretoFrontier(perf_, power_);
+
+    // Locate the segment bracketing the demand.
     segment_ = 0;
     while (segment_ + 1 < frontier_.size() &&
            frontier_[segment_ + 1].performance < options_.targetRate) {
@@ -408,6 +425,7 @@ EnergyController::replanPreserving()
     }
     // boost_, have_avg_ and drift_count_ deliberately survive:
     // paceConfig() clamps the boost against the new frontier size.
+    return true;
 }
 
 void
@@ -487,25 +505,8 @@ EnergyController::fitUnguarded()
 void
 EnergyController::replan()
 {
-    if (!hasEstimates()) {
-        // Race-to-idle degradation: with no estimates at all the
-        // frontier is unknown; paceConfig() then runs the final
-        // (all-resources) configuration.
-        frontier_.clear();
+    if (!replanPreserving())
         return;
-    }
-    // Pacing selects a single configuration per window (the slack is
-    // idled out inside the window), so the candidate set is the full
-    // Pareto frontier: unlike batch scheduling, pure selection can
-    // exploit frontier points that sit above the convex hull.
-    frontier_ = optimizer::paretoFrontier(perf_, power_);
-
-    // Locate the segment bracketing the demand.
-    segment_ = 0;
-    while (segment_ + 1 < frontier_.size() &&
-           frontier_[segment_ + 1].performance < options_.targetRate) {
-        ++segment_;
-    }
     boost_ = 0;
     have_avg_ = false;
     drift_count_ = 0;
@@ -522,11 +523,9 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
                                    estimators::LeoFit perf_fit,
                                    estimators::LeoFit power_fit)
 {
-    // Mirror of fit() + the post-plan transition in
-    // recordMeasurement(), with the estimator call replaced by the
-    // caller's results. estimateMetric() never lets an estimator
-    // throw escape (it degrades internally), so the inline path's
-    // try/catch has no analogue here.
+    // The estimator call of fitUnguarded(), done by the caller;
+    // estimateMetric() never lets an estimator throw escape (it
+    // degrades internally), so the install always counts as fitted.
     fit_pending_ = false;
     samples_rejected_.add(perf.samplesRejected +
                           power.samplesRejected);
@@ -535,19 +534,7 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
     have_fits_ = true;
     perf_ = std::move(perf.values);
     power_ = std::move(power.values);
-    if (perf_.size() == space_.size() &&
-        power_.size() == space_.size() && perf_.allFinite() &&
-        power_.allFinite()) {
-        fallback_remaining_ = 0;
-        seedRefits();
-    } else {
-        refit_perf_.deactivate();
-        refit_power_.deactivate();
-        fits_failed_.add(1);
-        fallbackEstimates();
-    }
-    replan();
-    state_ = State::Controlling;
+    installFit(true);
 }
 
 namespace

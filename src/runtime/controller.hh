@@ -188,10 +188,10 @@ class EnergyController
 
     /**
      * Complete a deferred fit: install externally computed estimates
-     * and warm fits, then replan and switch to Controlling — the
-     * exact sequence the inline fit runs, so a deferred fit computed
-     * with the same inputs (observations(), warm fits, the same
-     * estimator) yields a bitwise-identical schedule.
+     * and warm fits, then replan and switch to Controlling — through
+     * the same install routine as the inline fit, so a deferred fit
+     * computed with the same inputs (observations(), warm fits, the
+     * same estimator) yields a bitwise-identical schedule.
      * Estimates that come back unusable (wrong size or non-finite)
      * engage the same degradation policy as an inline fit failure.
      * Never throws.
@@ -276,12 +276,24 @@ class EnergyController
     const obs::Registry &metrics() const { return obs_; }
 
   private:
-    /** Fit the estimator from the current observations; never
-     *  throws — a failed fit engages the fallback policy. */
+    /** Fit the estimator from the current observations and install
+     *  the result; never throws — a failed fit engages the fallback
+     *  policy. */
     void fit();
 
     /** The raw estimator call (may throw). */
     void fitUnguarded();
+
+    /**
+     * Install the estimates a fit just left in perf_/power_: the one
+     * path shared by the inline fit() and applyExternalFit(). Usable
+     * estimates (fitted, full size, finite) seed the refitters;
+     * anything else engages the fallback policy. Then replan and
+     * switch to Controlling.
+     *
+     * @param fitted False when the estimator call threw.
+     */
+    void installFit(bool fitted);
 
     /** Degradation policy after a failed fit: prior-mean estimates
      *  when a prior exists, race-to-idle otherwise; arms the
@@ -291,17 +303,20 @@ class EnergyController
     /** Reset sampling state so fresh probes are drawn. */
     void beginSampling();
 
-    /** Recompute the frontier and locate the demand on it. */
+    /** replanPreserving(), then reset the guards: new estimates
+     *  void the boost, the rate EWMA, the drift and starve counts
+     *  and the change-point evidence. */
     void replan();
 
     /**
-     * replan() minus the guard resets: recomputes the frontier and
-     * segment from refreshed estimates while preserving the
-     * gradient-ascent boost, the measured-rate EWMA and the drift
+     * Recompute the frontier and locate the demand on it, preserving
+     * the gradient-ascent boost, the measured-rate EWMA and the drift
      * counter — a refit refreshes the map, it does not declare a
      * phase change.
+     *
+     * @return False (frontier cleared) when there are no estimates.
      */
-    void replanPreserving();
+    bool replanPreserving();
 
     /** Arm the per-window refitters from the latest low-rank fits
      *  (no-op unless options_.refitMode asks for them). */

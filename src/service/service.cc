@@ -32,8 +32,7 @@ Service::Service(const platform::ConfigSpace &space,
                  std::shared_ptr<const telemetry::ProfileStore> prior,
                  parallel::ThreadPool &pool, ServiceOptions options)
     : space_(space), estimator_(estimator), pool_(pool),
-      options_(options), prior_(std::move(prior)),
-      cache_(options.fitCacheCapacity)
+      options_(options), prior_(std::move(prior))
 {
     require(options_.shards >= 1, "Service: need >= 1 shard");
     require(!options_.globalPlanning ||
@@ -77,7 +76,6 @@ Service::admit(const TenantConfig &config)
     const std::uint64_t id = next_id_++;
     auto sess = std::make_unique<Session>(id, config);
     sess->prior = prior_;
-    sess->priorVersion = prior_version_;
     sess->controller = makeController(sess->config, *sess->prior);
     sessions_[id] = std::move(sess);
     tenants_admitted_.add(1);
@@ -145,7 +143,6 @@ Service::tick()
         if (pending_prior_ != nullptr) {
             prior_ = std::move(pending_prior_);
             pending_prior_.reset();
-            ++prior_version_;
             prior_refreshes_.add(1);
         }
     }
@@ -288,43 +285,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     obs::Span span(obs::names::kServiceFitSpan, "service");
     span.arg("tenants", static_cast<double>(pending.size()));
 
-    // Cache pass: cold fits are pure functions of the key, so a hit
-    // hands the tenant a previously computed result — bitwise what
-    // its own fit would have produced.
-    struct Job
-    {
-        Session *sess = nullptr;
-        FitCacheKey key;
-        bool cold = false;
-    };
-    std::vector<Job> jobs;
-    jobs.reserve(pending.size());
-    for (const std::uint64_t id : pending) {
-        Session &sess = *sessions_.at(id);
-        runtime::EnergyController &ctl = *sess.controller;
-        const bool cold = ctl.warmPerfFit() == nullptr;
-        FitCacheKey key;
-        key.appId = sess.config.appId;
-        key.priorVersion = sess.priorVersion;
-        key.obsHash =
-            ctl.observations().contentHash(space_.size());
-        if (cold) {
-            if (const CachedFit *hit = cache_.lookup(key)) {
-                ctl.applyExternalFit(hit->perfEstimate,
-                                     hit->powerEstimate,
-                                     hit->perfFit, hit->powerFit);
-                ++report.cacheHits;
-                ++report.tenantsFitted;
-                cache_hits_.add(1);
-                continue;
-            }
-            cache_misses_.add(1);
-        }
-        jobs.push_back(Job{&sess, std::move(key), cold});
-    }
-    if (jobs.empty())
-        return;
-
     // One shared batch for the whole fleet: the per-tenant q-space
     // EM work shares a single parallel region instead of N tiny
     // ones. Requests mirror the controller's inline fit inputs
@@ -332,10 +292,10 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     // controller itself fits with), so applyExternalFit reproduces
     // the inline schedule bit for bit.
     estimators::EstimatorBatch batch(estimator_, pool_);
-    std::vector<estimators::LeoFit> perf_fits(jobs.size());
-    std::vector<estimators::LeoFit> power_fits(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const Session &sess = *jobs[i].sess;
+    std::vector<estimators::LeoFit> perf_fits(pending.size());
+    std::vector<estimators::LeoFit> power_fits(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        const Session &sess = *sessions_.at(pending[i]);
         const runtime::EnergyController &ctl = *sess.controller;
 
         estimators::EstimateRequest perf_req;
@@ -368,27 +328,13 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         results.clear();
     }
 
-    const bool have_results = results.size() == 2 * jobs.size();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        runtime::EnergyController &ctl = *jobs[i].sess->controller;
+    const bool have_results = results.size() == 2 * pending.size();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        runtime::EnergyController &ctl =
+            *sessions_.at(pending[i])->controller;
         if (have_results) {
-            estimators::MetricEstimate perf =
-                std::move(results[2 * i]);
-            estimators::MetricEstimate power =
-                std::move(results[2 * i + 1]);
-            // Cache only cold, reliable fits: warm fits depend on
-            // private EM history the key does not capture, and an
-            // unreliable fit is a degradation artifact nobody
-            // should inherit.
-            if (jobs[i].cold && perf.reliable && power.reliable) {
-                CachedFit entry;
-                entry.perfEstimate = perf;
-                entry.powerEstimate = power;
-                entry.perfFit = perf_fits[i];
-                entry.powerFit = power_fits[i];
-                cache_.insert(jobs[i].key, std::move(entry));
-            }
-            ctl.applyExternalFit(std::move(perf), std::move(power),
+            ctl.applyExternalFit(std::move(results[2 * i]),
+                                 std::move(results[2 * i + 1]),
                                  std::move(perf_fits[i]),
                                  std::move(power_fits[i]));
         } else {
@@ -400,11 +346,7 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         report.fitsBatched += 2;
         ++report.tenantsFitted;
     }
-    fits_batched_.add(2 * jobs.size());
-    if (cache_.evictions() > evictions_seen_) {
-        cache_evictions_.add(cache_.evictions() - evictions_seen_);
-        evictions_seen_ = cache_.evictions();
-    }
+    fits_batched_.add(2 * pending.size());
 }
 
 void
@@ -426,7 +368,10 @@ Service::saveSnapshot(linalg::ByteWriter &w)
     w.u64(space_.size());
     w.u64(options_.shards);
     w.u64(next_id_);
-    w.u64(prior_version_);
+    // Reserved slot, always 0 (here and per session): perfbench's
+    // fleet driver decodes this v2 layout, so it stays byte-compatible
+    // until the next benchmark change drops both slots.
+    w.u64(0);
     w.u64(sessions_.size());
     for (const auto &[id, sess] : sessions_) {
         w.u64(id);
@@ -436,7 +381,7 @@ Service::saveSnapshot(linalg::ByteWriter &w)
         w.u64(sess->config.seed);
         w.u64(sess->submitSeq.load(std::memory_order_relaxed));
         w.u64(sess->windows);
-        w.u64(sess->priorVersion);
+        w.u64(0); // Reserved slot.
         // The mt19937_64 stream operators round-trip the engine
         // state exactly (decimal integers), so probe selection
         // resumes on the same draw.
@@ -491,7 +436,7 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         return false;
     }
     next_id_ = r.u64();
-    prior_version_ = r.u64();
+    r.u64(); // Reserved slot.
     const std::size_t count = static_cast<std::size_t>(r.u64());
     for (std::size_t i = 0; i < count && r.ok(); ++i) {
         const std::uint64_t id = r.u64();
@@ -508,7 +453,7 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         auto sess = std::make_unique<Session>(id, config);
         sess->submitSeq.store(r.u64(), std::memory_order_relaxed);
         sess->windows = r.u64();
-        sess->priorVersion = r.u64();
+        r.u64(); // Reserved slot.
         std::istringstream engine(r.str());
         engine >> sess->rng.engine();
         if (engine.fail())

@@ -21,13 +21,13 @@
  *    the whole fleet instead of N tiny ones — then hands each result
  *    back through applyExternalFit() (bitwise identical to the
  *    inline fit, see controller.hh).
- *  - **Fit cache + shared prior.** Cold fits are pure functions of
- *    (app id, prior version, observation hash);
- *    FitCache shares them across tenants. The offline prior is one
- *    shared immutable snapshot; refreshPrior() stages a new one from
- *    any thread and tick() installs it at the next boundary (running
- *    sessions keep the prior they started with — a fit must never
- *    change under a tenant mid-run).
+ *  - **Shared prior.** The offline prior is one shared immutable
+ *    snapshot; refreshPrior() stages a new one from any thread and
+ *    tick() installs it at the next boundary (running sessions keep
+ *    the prior they started with — a fit must never change under a
+ *    tenant mid-run). Every parked tenant is fitted from its own
+ *    measurements: noisy readings never repeat, so there is no
+ *    result to share between tenants.
  *  - **Global co-scheduling.** With ServiceOptions::globalPlanning
  *    on, every tick() ends by co-scheduling all tenants that have
  *    estimates onto the one machine through the interval LP of
@@ -69,7 +69,6 @@
 #include "optimizer/global.hh"
 #include "parallel/thread_pool.hh"
 #include "runtime/controller.hh"
-#include "service/fit_cache.hh"
 #include "service/shard_queue.hh"
 #include "stats/rng.hh"
 #include "telemetry/profile_store.hh"
@@ -87,8 +86,6 @@ struct ServiceOptions
     std::size_t queueCapacity = 1024;
     /** Admission limit; admit() beyond it is rejected. */
     std::size_t maxTenants = 256;
-    /** Cold-fit cache entries (0 disables the cache). */
-    std::size_t fitCacheCapacity = 64;
     /** Template for per-tenant controllers. targetRate is replaced
      *  by each tenant's demand and deferFits is forced on (the
      *  service owns the fit batching). */
@@ -107,7 +104,7 @@ struct ServiceOptions
 /** Per-tenant admission parameters. */
 struct TenantConfig
 {
-    /** Application identity (the fit-cache key component). */
+    /** Application identity. */
     std::string appId;
     /** Performance demand in heartbeats/s. */
     double targetRate = 1.0;
@@ -127,7 +124,8 @@ struct TickReport
     std::size_t windowsProcessed = 0;
     /** EM fits executed in the shared batch (2 per fitted tenant). */
     std::size_t fitsBatched = 0;
-    /** Deferred fits satisfied from the cache. */
+    /** Always 0; kept for the benchmark driver; delete with the
+     *  next benchmark change. */
     std::size_t cacheHits = 0;
     /** Tenants whose deferred fit completed this tick. */
     std::size_t tenantsFitted = 0;
@@ -260,8 +258,6 @@ class Service
         std::unique_ptr<runtime::EnergyController> controller;
         /** Prior snapshot pinned at admission. */
         std::shared_ptr<const telemetry::ProfileStore> prior;
-        /** Version of the pinned prior (fit-cache key component). */
-        std::uint64_t priorVersion = 0;
         /** Per-tenant submission sequence (drain sort key). */
         std::atomic<std::uint64_t> submitSeq{0};
         /** Windows applied so far. */
@@ -290,9 +286,8 @@ class Service
     parallel::ThreadPool &pool_; // leo-lint: allow(snapshot-completeness) borrowed dependency, rebound on construction
     ServiceOptions options_;
 
-    /** Live prior + version, swapped only at tick boundaries. */
+    /** Live prior, swapped only at tick boundaries. */
     std::shared_ptr<const telemetry::ProfileStore> prior_;
-    std::uint64_t prior_version_ = 0;
     /** Staged prior from refreshPrior() (any thread). */
     std::mutex pending_prior_mutex_; // leo-lint: allow(snapshot-completeness) synchronization primitive
     std::shared_ptr<const telemetry::ProfileStore> pending_prior_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
@@ -302,9 +297,6 @@ class Service
      *  replay order, so it must not depend on memory layout). */
     std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
     std::vector<std::unique_ptr<ShardQueue>> queues_;
-    FitCache cache_; // leo-lint: allow(snapshot-completeness) cache, rebuilt on demand
-    /** Evictions already forwarded to the eviction counter. */
-    std::size_t evictions_seen_ = 0; // leo-lint: allow(snapshot-completeness) derived diagnostic
 
     /** Latest fleet co-schedule and the ids it covers (id order,
      *  index-aligned with global_plan_.perTenant). Derived state:
@@ -332,12 +324,6 @@ class Service
         obs_.counter(obs::names::kServiceTicksRun);
     obs::Counter fits_batched_ = // leo-lint: allow(snapshot-completeness) process-local metric
         obs_.counter(obs::names::kServiceFitsBatched);
-    obs::Counter cache_hits_ = // leo-lint: allow(snapshot-completeness) process-local metric
-        obs_.counter(obs::names::kServiceCacheHits);
-    obs::Counter cache_misses_ = // leo-lint: allow(snapshot-completeness) process-local metric
-        obs_.counter(obs::names::kServiceCacheMisses);
-    obs::Counter cache_evictions_ = // leo-lint: allow(snapshot-completeness) process-local metric
-        obs_.counter(obs::names::kServiceCacheEvictions);
     obs::Counter prior_refreshes_ = // leo-lint: allow(snapshot-completeness) process-local metric
         obs_.counter(obs::names::kServicePriorRefreshes);
     obs::Counter snapshots_saved_ =

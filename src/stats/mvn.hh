@@ -73,6 +73,10 @@ struct GaussianPosterior
 /**
  * Compute the Gaussian posterior above.
  *
+ * Library code calls conditionOnObservationsInto; this allocating
+ * form stays as the reference its 0-ULP tests (stats_test) compare
+ * against.
+ *
  * @param mu       Prior mean (size n).
  * @param sigma_m  Prior covariance (n x n, SPD).
  * @param obs_idx  Indices of the observed coordinates.

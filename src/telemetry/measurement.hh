@@ -7,7 +7,6 @@
 #define LEO_TELEMETRY_MEASUREMENT_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "linalg/vector.hh"
@@ -48,32 +47,6 @@ struct Observations
 
     /** Append one sample. */
     void push(const Sample &s);
-
-    /**
-     * Stable content hash of the observation set, for use as a
-     * fit-cache key.
-     *
-     * The hash identifies the *information* the estimators will see
-     * after estimators::sanitizeObservations, not the byte layout of
-     * this struct:
-     *  - samples are hashed as sorted (index, perf bits, power bits)
-     *    triples, so permuting the sample order — including the
-     *    arrival order of duplicate indices that sanitization later
-     *    merges — leaves the hash unchanged;
-     *  - values sanitization rejects (non-finite or <= 0) hash as a
-     *    zero sentinel, and samples rejected for both metrics (or
-     *    with an out-of-range index) are dropped entirely, so
-     *    observation sets differing only in rejected readings
-     *    collide — they produce the same fit.
-     *
-     * Surviving values contribute their exact IEEE-754 bit pattern:
-     * any last-ULP measurement difference changes the hash (a cache
-     * key must never alias two different fits).
-     *
-     * @param space_size Number of configurations (index range).
-     * @return 64-bit FNV-1a over the sorted triples.
-     */
-    std::uint64_t contentHash(std::size_t space_size) const;
 };
 
 } // namespace leo::telemetry

@@ -267,8 +267,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{25, 1024, 5, 20}, // strongly deficient
                       GridCase{6, 333, 6, 5},   // odd n (kernel tails)
                       GridCase{8, 256, 8, 0}),  // no observations
-    [](const ::testing::TestParamInfo<GridCase> &info) {
-        const GridCase &g = info.param;
+    [](const ::testing::TestParamInfo<GridCase> &param_info) {
+        const GridCase &g = param_info.param;
         return "m" + std::to_string(g.m) + "_n" + std::to_string(g.n) +
                "_rank" + std::to_string(g.rank) + "_obs" +
                std::to_string(g.obs);

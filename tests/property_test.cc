@@ -565,11 +565,12 @@ TEST_P(GlobalPlanProperty, SharingNeverBeatsStandaloneAndCapsHold)
             // Greedy is a feasible point of the same program.
             const auto greedy =
                 optimizer::planPerAppGreedy(demands, idle, {});
-            if (greedy.feasible)
+            if (greedy.feasible) {
                 EXPECT_LE(shared.predictedEnergy,
                           greedy.predictedEnergy * (1.0 + 1e-9) +
                               1e-9)
                     << "trial " << trial;
+            }
         }
 
         // Binding cap: whenever the capped program stays feasible,

@@ -729,8 +729,8 @@ TEST(ChangePoint, SerializationRoundTripsMidStream)
 TEST(Sanitize, DuplicateMergeIsOrderIndependent)
 {
     // Permutations of the same duplicate set must sanitize to
-    // bitwise-identical merged values (the service's fit cache keys
-    // on a permutation-invariant content hash).
+    // bitwise-identical merged values, so a replay that delivers
+    // retried probes in another order fits exactly the same.
     const std::vector<std::size_t> idx_a = {3, 5, 3, 7, 5, 3};
     const Vector vals_a{10.0, 20.0, 10.3, 5.0, 19.7, 10.6};
     const std::vector<std::size_t> idx_b = {7, 3, 5, 3, 3, 5};

@@ -8,7 +8,8 @@
  *  - a tenant served through the deferred batched fit path follows
  *    bitwise the same schedule as a standalone inline-fitting
  *    controller over the same samples;
- *  - the cold-fit cache changes cost, never behavior;
+ *  - every parked tenant is fitted in the shared batch, even one
+ *    that replays another tenant's exact measurement stream;
  *  - a snapshot restored into a fresh service resumes every tenant's
  *    schedule bit for bit, dense and low-rank, with incremental
  *    refit state, across the fault-scenario sweep.
@@ -274,14 +275,15 @@ TEST(Service, MatchesStandaloneInlineController)
                   runtime::EnergyController::State::Controlling);
 }
 
-// -------------------------------------------------- cold-fit cache
+// ------------------------------------------------ identical tenants
 
 /**
- * Two tenants of the same application with identical observation
- * sets share one cold fit: the second is served from the cache
- * (counted) and follows exactly the schedule of the first.
+ * Two tenants of the same application with the same seed and the
+ * same measurement stream are each fitted in the shared batch (two
+ * fits apiece) and follow exactly the same schedule: no fit is
+ * shared between tenants, and none needs to be.
  */
-TEST(Service, ColdFitCacheServesIdenticalTenant)
+TEST(Service, IdenticalTenantsAreEachFittedInTheBatch)
 {
     World w;
     estimators::LeoEstimator leo;
@@ -289,54 +291,20 @@ TEST(Service, ColdFitCacheServesIdenticalTenant)
     Service svc(w.space, leo, w.prior, pool, w.serviceOptions(4));
 
     constexpr std::size_t kWindows = 12;
-    const auto a = svc.admit(w.tenant(0));
-    ASSERT_TRUE(a.has_value());
-    std::vector<std::vector<std::size_t>> sched_a;
-    {
+    std::vector<std::vector<std::size_t>> sched[2];
+    for (std::uint64_t t = 0; t < 2; ++t) {
+        const auto id = svc.admit(w.tenant(0));
+        ASSERT_TRUE(id.has_value());
         std::vector<stats::Rng> rngs;
         rngs.emplace_back(900);
-        ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor,
-                                           w.meter, {*a}, rngs,
-                                           kWindows, sched_a));
+        ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor, w.meter,
+                                           {*id}, rngs, kWindows,
+                                           sched[t]));
+        EXPECT_EQ(svc.metrics().snapshot().counterOr(
+                      obs::names::kServiceFitsBatched),
+                  2 * (t + 1));
     }
-
-    // Same app, same seed, same measurement stream: the cold fit is
-    // a cache hit, and the schedule replays bit for bit.
-    const auto b = svc.admit(w.tenant(0));
-    ASSERT_TRUE(b.has_value());
-    std::vector<std::vector<std::size_t>> sched_b;
-    {
-        std::vector<stats::Rng> rngs;
-        rngs.emplace_back(900);
-        ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor,
-                                           w.meter, {*b}, rngs,
-                                           kWindows, sched_b));
-    }
-
-    EXPECT_EQ(sched_a[0], sched_b[0]);
-    const auto snap = svc.metrics().snapshot();
-    EXPECT_EQ(snap.counterOr(obs::names::kServiceCacheHits), 1u);
-    EXPECT_EQ(snap.counterOr(obs::names::kServiceCacheMisses), 1u);
-
-    // And the cache is cost-only: a cacheless service produces the
-    // same schedules.
-    ServiceOptions nocache = w.serviceOptions(4);
-    nocache.fitCacheCapacity = 0;
-    Service plain(w.space, leo, w.prior, pool, nocache);
-    const auto c = plain.admit(w.tenant(0));
-    ASSERT_TRUE(c.has_value());
-    std::vector<std::vector<std::size_t>> sched_c;
-    {
-        std::vector<stats::Rng> rngs;
-        rngs.emplace_back(900);
-        ASSERT_NO_FATAL_FAILURE(driveFleet(plain, w, w.monitor,
-                                           w.meter, {*c}, rngs,
-                                           kWindows, sched_c));
-    }
-    EXPECT_EQ(sched_a[0], sched_c[0]);
-    EXPECT_EQ(plain.metrics().snapshot().counterOr(
-                  obs::names::kServiceCacheHits),
-              0u);
+    EXPECT_EQ(sched[0][0], sched[1][0]);
 }
 
 // ----------------------------------------------- concurrent submit
@@ -622,49 +590,6 @@ TEST(ShardQueue, ConcurrentProducersLoseNothing)
         EXPECT_EQ(out.seq, next[out.tenant]++);
     }
     EXPECT_EQ(total, kProducers * kEach);
-}
-
-// -------------------------------------------------------- fit cache
-
-TEST(FitCache, EvictsLeastRecentlyUsedDeterministically)
-{
-    service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 1};
-    service::FitCacheKey b{"b", 0, 2};
-    service::FitCacheKey c{"c", 0, 3};
-    cache.insert(a, {});
-    cache.insert(b, {});
-    EXPECT_NE(cache.lookup(a), nullptr); // a is now most recent.
-    cache.insert(c, {});                 // Evicts b.
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_NE(cache.lookup(a), nullptr);
-    EXPECT_EQ(cache.lookup(b), nullptr);
-    EXPECT_NE(cache.lookup(c), nullptr);
-}
-
-TEST(FitCache, ZeroCapacityDisables)
-{
-    service::FitCache cache(0);
-    service::FitCacheKey k{"a", 0, 1};
-    cache.insert(k, {});
-    EXPECT_EQ(cache.lookup(k), nullptr);
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(FitCache, OverwriteRefreshesWithoutEviction)
-{
-    service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 1};
-    service::CachedFit fit;
-    fit.perfEstimate.reliable = true;
-    cache.insert(a, {});
-    cache.insert(a, std::move(fit));
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.evictions(), 0u);
-    const service::CachedFit *got = cache.lookup(a);
-    ASSERT_NE(got, nullptr);
-    EXPECT_TRUE(got->perfEstimate.reliable);
 }
 
 // ---------------------------------------------- global co-scheduling

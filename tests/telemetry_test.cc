@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "estimators/sanitize.hh"
 #include "linalg/error.hh"
 #include "platform/config_space.hh"
 #include "stats/summary.hh"
@@ -209,101 +208,4 @@ TEST(ProfileStore, RejectsRaggedRecords)
     recs[1].performance = linalg::Vector(3, 1.0);
     recs[1].power = linalg::Vector(3, 1.0);
     EXPECT_THROW(telemetry::ProfileStore{std::move(recs)}, FatalError);
-}
-
-// ------------------------------------------------------ content hash
-
-namespace
-{
-
-telemetry::Observations
-obsOf(std::initializer_list<telemetry::Sample> samples)
-{
-    telemetry::Observations o;
-    for (const auto &s : samples)
-        o.push(s);
-    return o;
-}
-
-} // namespace
-
-TEST(ContentHash, InsensitiveToSampleOrder)
-{
-    const auto a = obsOf({{0, 2.0, 10.0}, {3, 4.0, 20.0},
-                          {7, 8.0, 30.0}});
-    const auto b = obsOf({{7, 8.0, 30.0}, {0, 2.0, 10.0},
-                          {3, 4.0, 20.0}});
-    EXPECT_EQ(a.contentHash(16), b.contentHash(16));
-}
-
-TEST(ContentHash, DuplicateArrivalOrderIrrelevantAndMergeAgrees)
-{
-    // A retried probe delivers the same index twice; the two arrival
-    // orders must hash identically, and sanitization must merge them
-    // to the same surviving set (the property that makes the hash a
-    // safe fit-cache key).
-    const auto a = obsOf({{5, 2.0, 10.0}, {5, 4.0, 30.0},
-                          {1, 1.0, 5.0}});
-    const auto b = obsOf({{5, 4.0, 30.0}, {1, 1.0, 5.0},
-                          {5, 2.0, 10.0}});
-    EXPECT_EQ(a.contentHash(16), b.contentHash(16));
-
-    const auto sa =
-        estimators::sanitizeObservations(a.indices, a.performance, 16);
-    const auto sb =
-        estimators::sanitizeObservations(b.indices, b.performance, 16);
-    ASSERT_TRUE(sa.modified);
-    ASSERT_TRUE(sb.modified);
-    ASSERT_EQ(sa.values.size(), sb.values.size());
-    // First-occurrence order differs between the two arrivals, so
-    // compare the merged sets as (index, value) multisets.
-    std::vector<std::pair<std::size_t, double>> ma, mb;
-    for (std::size_t i = 0; i < sa.indices.size(); ++i)
-        ma.push_back({sa.indices[i], sa.values[i]});
-    for (std::size_t i = 0; i < sb.indices.size(); ++i)
-        mb.push_back({sb.indices[i], sb.values[i]});
-    std::sort(ma.begin(), ma.end());
-    std::sort(mb.begin(), mb.end());
-    EXPECT_EQ(ma, mb);
-}
-
-TEST(ContentHash, RejectedReadingsCollide)
-{
-    // Sanitization rejects non-finite and non-positive values, so
-    // observation sets that differ only in the *kind* of rejected
-    // reading produce the same fit — and must produce the same hash.
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const auto a = obsOf({{2, nan, 10.0}, {4, 3.0, 20.0}});
-    const auto b = obsOf({{2, -7.0, 10.0}, {4, 3.0, 20.0}});
-    const auto c = obsOf({{2, 0.0, 10.0}, {4, 3.0, 20.0}});
-    EXPECT_EQ(a.contentHash(16), b.contentHash(16));
-    EXPECT_EQ(a.contentHash(16), c.contentHash(16));
-
-    // A sample rejected on both metrics contributes nothing, as does
-    // an out-of-range index.
-    const auto d = obsOf({{4, 3.0, 20.0}});
-    const auto e = obsOf({{4, 3.0, 20.0}, {2, nan, -1.0}});
-    const auto f = obsOf({{4, 3.0, 20.0}, {99, 5.0, 25.0}});
-    EXPECT_EQ(d.contentHash(16), e.contentHash(16));
-    EXPECT_EQ(d.contentHash(16), f.contentHash(16));
-    // But a rejected metric next to a surviving one still counts.
-    EXPECT_NE(a.contentHash(16), d.contentHash(16));
-}
-
-TEST(ContentHash, SensitiveToSurvivingBits)
-{
-    const auto a = obsOf({{3, 2.0, 10.0}});
-    auto b = obsOf({{3, 2.0, 10.0}});
-    b.performance[0] = std::nextafter(2.0, 3.0);
-    EXPECT_NE(a.contentHash(16), b.contentHash(16));
-
-    // Different index, same values: different hash.
-    const auto c = obsOf({{4, 2.0, 10.0}});
-    EXPECT_NE(a.contentHash(16), c.contentHash(16));
-
-    // Empty set hashes consistently and differs from non-empty.
-    const telemetry::Observations empty;
-    EXPECT_EQ(empty.contentHash(16),
-              telemetry::Observations{}.contentHash(16));
-    EXPECT_NE(empty.contentHash(16), a.contentHash(16));
 }
